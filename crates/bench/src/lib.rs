@@ -1,7 +1,9 @@
 //! Shared scaffolding for the figure-regeneration benches.
 //!
 //! Every bench target in this crate regenerates one table or figure of the
-//! paper's evaluation (see DESIGN.md's experiment index). Scale knobs are
+//! paper's evaluation and is named after it (`benches/fig4_language_inference.rs`
+//! is Fig 4, `benches/fig7_fuzzing.rs` is Fig 7, and so on; `ablations.rs`
+//! and `criterion_pipeline.rs` are the exceptions). Scale knobs are
 //! read from the environment so `cargo bench` finishes in minutes by
 //! default while `GLADE_SCALE=paper` reproduces the paper's sample sizes:
 //!

@@ -1,7 +1,9 @@
 //! Earley recognition and parsing for [`Grammar`]s.
 //!
-//! GLADE needs general context-free parsing in two places:
+//! GLADE needs general context-free parsing in three places:
 //!
+//! * **Target oracles** (Section 8.1): membership in a handwritten target
+//!   grammar answers every oracle query of the language-inference runs.
 //! * **Recall measurement** (Section 8.2): deciding whether a string sampled
 //!   from the target language belongs to the synthesized grammar.
 //! * **The grammar-based fuzzer** (Section 8.3): constructing the parse tree
@@ -12,10 +14,27 @@
 //! ε-productions, ambiguity), so we use an Earley chart parser with the
 //! Aycock–Horspool nullable-prediction fix, plus a memoized top-down walk of
 //! the completed chart to extract a single parse tree.
+//!
+//! As an oracle the recognizer answers hundreds of thousands of short
+//! queries per learning run, so the chart is built for that:
+//!
+//! * [`Earley::new`] compiles the grammar once into a flat table of dotted
+//!   rules (what follows each dot), per-nonterminal prediction lists and the
+//!   nullable set.
+//! * An item is one `u64` packing its dotted rule and origin.
+//! * Only the current set and the next one ever grow, so two rolling hash
+//!   sets deduplicate items.
+//! * Each position records the items waiting on each nonterminal, so a
+//!   completion visits its parents only, not its whole origin set.
+//! * The chart buffers are reused across runs on the same thread.
 
 use crate::cfg::{Grammar, NtId, Sym};
+use crate::CharClass;
+use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// One node of a parse tree produced by [`Earley::parse`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -111,21 +130,253 @@ impl fmt::Display for ParseTree {
     }
 }
 
-/// Earley item: `lhs → rhs[..dot] · rhs[dot..]`, started at input position
-/// `origin`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct Item {
-    nt: u32,
-    prod: u32,
-    dot: u32,
-    origin: u32,
+/// What follows the dot of a dotted rule `A → α · β`.
+#[derive(Clone, Copy, Debug)]
+enum Next {
+    /// `β` starts with nonterminal `B`: predict it.
+    Nt(u32),
+    /// `β` starts with a byte class: scan it.
+    Class(CharClass),
+    /// `β` is empty: the rule completes its left-hand side `A`.
+    End(u32),
 }
 
-/// An Earley recognizer/parser for a borrowed [`Grammar`].
+/// An Earley item, packed as `rule << 32 | origin`: a dotted rule (an index
+/// into [`Table::rules`]) started at input position `origin`.
+type Item = u64;
+
+/// Added to an [`Item`], moves its dot past the next symbol.
+const STEP: Item = 1 << 32;
+
+fn item(rule: u32, origin: usize) -> Item {
+    (u64::from(rule) << 32) | origin as u64
+}
+
+fn rule_of(it: Item) -> usize {
+    (it >> 32) as usize
+}
+
+fn origin_of(it: Item) -> usize {
+    it as u32 as usize
+}
+
+/// Hashes a packed [`Item`] with one folded multiply, so every bit of the
+/// rule and the origin reaches the bucket index. Keys are chart-internal
+/// `(rule, origin)` pairs, never outside bytes, so no collision-resistant
+/// hasher is needed.
+#[derive(Default)]
+struct ItemHasher(u64);
+
+impl Hasher for ItemHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let m = u128::from(self.0 ^ x) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (m as u64) ^ (m >> 64) as u64;
+    }
+}
+
+type ItemSet = HashSet<Item, BuildHasherDefault<ItemHasher>>;
+
+/// A grammar compiled for the chart: one entry per dotted rule.
+#[derive(Clone, Debug)]
+struct Table {
+    /// Production `A → X₁…Xₖ` owns `k + 1` consecutive entries, one per dot
+    /// position, so [`STEP`] advances an item to the next entry.
+    rules: Vec<Next>,
+    /// `first[at[a]..at[a + 1]]` are the dot-0 rules of nonterminal `a`.
+    first: Vec<u32>,
+    at: Vec<usize>,
+    nullable: Vec<bool>,
+    start: u32,
+}
+
+/// Chart buffers, reused across runs on one thread.
+#[derive(Default)]
+struct Chart {
+    /// Item sets `0..=k`, concatenated; set `j` starts at `set_at[j]`.
+    items: Vec<Item>,
+    set_at: Vec<usize>,
+    /// Set `k + 1` (scans) while set `k` is processed.
+    next: Vec<Item>,
+    /// The items of sets `k` and `k + 1` that are not dot-0 predictions.
+    seen: ItemSet,
+    seen_next: ItemSet,
+    /// `(B, item)` for each processed item whose dot is before `B`; the
+    /// entries of position `j` start at `wait_at[j]` and are sorted once its
+    /// set is complete.
+    waiting: Vec<(u32, Item)>,
+    wait_at: Vec<usize>,
+    /// `predicted[B] == k + 1` once `B` is predicted at position `k`.
+    predicted: Vec<usize>,
+}
+
+/// Past this many items or waiting entries a thread drops its chart
+/// buffers after the run instead of keeping them for the next one: oracle
+/// queries stay well below it, while a one-off parse of a long input does
+/// not pin its chart for the thread's lifetime.
+const RETAINED_ITEMS: usize = 1 << 14;
+
+thread_local! {
+    static CHART: RefCell<Chart> = RefCell::default();
+}
+
+/// Runs `f` on this thread's chart buffers.
+fn with_chart<R>(f: impl FnOnce(&mut Chart) -> R) -> R {
+    CHART.with_borrow_mut(|chart| {
+        let result = f(chart);
+        if chart.items.capacity().max(chart.waiting.capacity()) > RETAINED_ITEMS {
+            *chart = Chart::default();
+        }
+        result
+    })
+}
+
+impl Table {
+    fn new(grammar: &Grammar) -> Table {
+        let mut t = Table {
+            rules: Vec::new(),
+            first: Vec::new(),
+            at: vec![0],
+            nullable: grammar.nullable_set(),
+            start: grammar.start().0,
+        };
+        for a in grammar.nonterminals() {
+            for rhs in grammar.productions(a) {
+                t.first.push(t.rules.len() as u32);
+                t.rules.extend(rhs.iter().map(|s| match *s {
+                    Sym::Nt(b) => Next::Nt(b.0),
+                    Sym::Class(c) => Next::Class(c),
+                }));
+                t.rules.push(Next::End(a.0));
+            }
+            t.at.push(t.first.len());
+        }
+        t
+    }
+
+    fn predictions(&self, a: u32) -> &[u32] {
+        &self.first[self.at[a as usize]..self.at[a as usize + 1]]
+    }
+
+    /// Fills `chart` with the `n + 1` item sets of `input`. Stops early,
+    /// returning `false`, when a set comes out empty: no prefix of the input
+    /// survives, so the input is not a member.
+    fn run(&self, input: &[u8], chart: &mut Chart) -> bool {
+        let n = input.len();
+        assert!(u32::try_from(n).is_ok(), "Earley inputs are limited to 4 GiB (u32 origins)");
+        let Chart { items, set_at, next, seen, seen_next, waiting, wait_at, predicted } = chart;
+        items.clear();
+        set_at.clear();
+        seen.clear();
+        waiting.clear();
+        wait_at.clear();
+        predicted.clear();
+        predicted.resize(self.nullable.len(), 0);
+
+        set_at.push(0);
+        wait_at.push(0);
+        predicted[self.start as usize] = 1;
+        items.extend(self.predictions(self.start).iter().map(|&r| item(r, 0)));
+        for k in 0..=n {
+            next.clear();
+            seen_next.clear();
+            let mut i = set_at[k];
+            while i < items.len() {
+                let it = items[i];
+                i += 1;
+                match self.rules[rule_of(it)] {
+                    Next::Nt(b) => {
+                        waiting.push((b, it));
+                        // Dot-0 items arise only here, once per (B, k), so
+                        // they skip the dedup set.
+                        if predicted[b as usize] != k + 1 {
+                            predicted[b as usize] = k + 1;
+                            items.extend(self.predictions(b).iter().map(|&r| item(r, k)));
+                        }
+                        // Aycock–Horspool: step over a nullable B at once.
+                        if self.nullable[b as usize] && seen.insert(it + STEP) {
+                            items.push(it + STEP);
+                        }
+                    }
+                    Next::Class(c) => {
+                        if k < n && c.contains(input[k]) && seen_next.insert(it + STEP) {
+                            next.push(it + STEP);
+                        }
+                    }
+                    Next::End(a) => {
+                        // An item completing at its own origin derived ε, and
+                        // the nullable step above already advanced its parents.
+                        let origin = origin_of(it);
+                        if origin < k {
+                            let parents = &waiting[wait_at[origin]..wait_at[origin + 1]];
+                            let from = parents.partition_point(|&(b, _)| b < a);
+                            for &(_, parent) in parents[from..].iter().take_while(|w| w.0 == a) {
+                                if seen.insert(parent + STEP) {
+                                    items.push(parent + STEP);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            waiting[wait_at[k]..].sort_unstable();
+            wait_at.push(waiting.len());
+            if k == n {
+                break;
+            }
+            if next.is_empty() {
+                return false;
+            }
+            set_at.push(items.len());
+            items.append(next);
+            std::mem::swap(seen, seen_next);
+        }
+        true
+    }
+
+    /// Whether the last set of a full run holds a completed start item.
+    fn accepted(&self, chart: &Chart) -> bool {
+        let last = chart.set_at[chart.set_at.len() - 1];
+        chart.items[last..].iter().any(|&it| {
+            origin_of(it) == 0 && matches!(self.rules[rule_of(it)], Next::End(a) if a == self.start)
+        })
+    }
+
+    /// `(nt, start) →` ascending end positions of every completed item.
+    fn completed(&self, chart: &Chart) -> HashMap<(u32, u32), Vec<u32>> {
+        let mut completed: HashMap<(u32, u32), Vec<u32>> = HashMap::new();
+        let ends = chart.set_at[1..].iter().copied().chain([chart.items.len()]);
+        for (k, (from, to)) in chart.set_at.iter().copied().zip(ends).enumerate() {
+            let k = k as u32;
+            for &it in &chart.items[from..to] {
+                if let Next::End(a) = self.rules[rule_of(it)] {
+                    let ends = completed.entry((a, origin_of(it) as u32)).or_default();
+                    if ends.last() != Some(&k) {
+                        ends.push(k);
+                    }
+                }
+            }
+        }
+        completed
+    }
+}
+
+/// An Earley recognizer/parser for a [`Grammar`].
 ///
-/// Construction precomputes the nullable set; each call to
-/// [`Earley::accepts`] or [`Earley::parse`] runs the chart algorithm on one
-/// input.
+/// Construction compiles the grammar into a table of dotted rules; each
+/// call to [`Earley::accepts`] or [`Earley::parse`] runs the chart over one
+/// input in buffers the calling thread keeps for its next call. Build the
+/// parser once and reuse it: [`Earley::owned`] gives one that outlives any
+/// borrow, e.g. inside a membership oracle.
 ///
 /// # Examples
 ///
@@ -143,164 +394,62 @@ struct Item {
 /// assert!(parser.accepts(b"<a><a></a></a>"));
 /// assert!(!parser.accepts(b"<a></a></a>"));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Earley<'g> {
-    grammar: &'g Grammar,
-    nullable: Vec<bool>,
+    grammar: Cow<'g, Grammar>,
+    table: Table,
 }
 
 impl<'g> Earley<'g> {
     /// Creates a parser for `grammar`.
     pub fn new(grammar: &'g Grammar) -> Self {
-        let nullable = grammar.nullable_set();
-        Earley { grammar, nullable }
+        Earley { table: Table::new(grammar), grammar: Cow::Borrowed(grammar) }
     }
 
     /// The underlying grammar.
-    pub fn grammar(&self) -> &'g Grammar {
-        self.grammar
-    }
-
-    fn rhs(&self, item: &Item) -> &'g [Sym] {
-        &self.grammar.productions(NtId(item.nt))[item.prod as usize]
-    }
-
-    /// Runs the chart algorithm, returning one item set per input position
-    /// (`n + 1` sets).
-    fn chart(&self, input: &[u8]) -> Vec<Vec<Item>> {
-        let n = input.len();
-        let mut sets: Vec<Vec<Item>> = vec![Vec::new(); n + 1];
-        let mut seen: Vec<HashSet<Item>> = vec![HashSet::new(); n + 1];
-
-        let start = self.grammar.start();
-        for prod in 0..self.grammar.productions(start).len() as u32 {
-            let it = Item { nt: start.0, prod, dot: 0, origin: 0 };
-            if seen[0].insert(it) {
-                sets[0].push(it);
-            }
-        }
-
-        for k in 0..=n {
-            let mut idx = 0;
-            while idx < sets[k].len() {
-                let item = sets[k][idx];
-                idx += 1;
-                let rhs = self.rhs(&item);
-                if (item.dot as usize) < rhs.len() {
-                    match rhs[item.dot as usize] {
-                        Sym::Nt(b) => {
-                            // Predict.
-                            for prod in 0..self.grammar.productions(b).len() as u32 {
-                                let it = Item { nt: b.0, prod, dot: 0, origin: k as u32 };
-                                if seen[k].insert(it) {
-                                    sets[k].push(it);
-                                }
-                            }
-                            // Aycock–Horspool: if B is nullable, also advance
-                            // over it immediately.
-                            if self.nullable[b.index()] {
-                                let it = Item { dot: item.dot + 1, ..item };
-                                if seen[k].insert(it) {
-                                    sets[k].push(it);
-                                }
-                            }
-                        }
-                        Sym::Class(c) => {
-                            // Scan.
-                            if k < n && c.contains(input[k]) {
-                                let it = Item { dot: item.dot + 1, ..item };
-                                if seen[k + 1].insert(it) {
-                                    sets[k + 1].push(it);
-                                }
-                            }
-                        }
-                    }
-                } else {
-                    // Complete: item.nt spans item.origin..k.
-                    let origin = item.origin as usize;
-                    // Note: when origin == k this loops over the growing set;
-                    // index-based iteration handles that safely.
-                    let mut j = 0;
-                    while j < sets[origin].len() {
-                        let parent = sets[origin][j];
-                        j += 1;
-                        let prhs = self.rhs(&parent);
-                        if (parent.dot as usize) < prhs.len()
-                            && prhs[parent.dot as usize] == Sym::Nt(NtId(item.nt))
-                        {
-                            let it = Item { dot: parent.dot + 1, ..parent };
-                            if seen[k].insert(it) {
-                                sets[k].push(it);
-                            }
-                        }
-                        if origin != k {
-                            // sets[origin] is frozen once k > origin; a plain
-                            // loop suffices but we keep the same structure.
-                        }
-                    }
-                }
-            }
-        }
-        sets
+    pub fn grammar(&self) -> &Grammar {
+        &self.grammar
     }
 
     /// Decides membership of `input` in the grammar's language.
     pub fn accepts(&self, input: &[u8]) -> bool {
-        let sets = self.chart(input);
-        let n = input.len();
-        let start = self.grammar.start();
-        sets[n]
-            .iter()
-            .any(|it| it.nt == start.0 && it.origin == 0 && it.dot as usize == self.rhs(it).len())
+        with_chart(|chart| self.table.run(input, chart) && self.table.accepted(chart))
     }
 
     /// Parses `input`, returning one (arbitrary but deterministic) parse
     /// tree, or `None` if the input is not in the language.
     pub fn parse(&self, input: &[u8]) -> Option<ParseTree> {
-        let sets = self.chart(input);
-        let n = input.len();
-        let start = self.grammar.start();
-        let accepted = sets[n]
-            .iter()
-            .any(|it| it.nt == start.0 && it.origin == 0 && it.dot as usize == self.rhs(it).len());
-        if !accepted {
-            return None;
-        }
-
-        // completed[(nt, start)] = ascending list of end positions.
-        let mut completed: HashMap<(u32, u32), Vec<u32>> = HashMap::new();
-        for (k, set) in sets.iter().enumerate() {
-            for it in set {
-                if it.dot as usize == self.rhs(it).len() {
-                    completed.entry((it.nt, it.origin)).or_default().push(k as u32);
-                }
-            }
-        }
-        for ends in completed.values_mut() {
-            ends.sort_unstable();
-            ends.dedup();
-        }
-
+        let completed = with_chart(|chart| {
+            (self.table.run(input, chart) && self.table.accepted(chart))
+                .then(|| self.table.completed(chart))
+        })?;
         let mut builder = TreeBuilder {
-            earley: self,
+            grammar: &self.grammar,
             input,
             completed,
             fail: HashSet::new(),
             in_progress: HashSet::new(),
         };
-        builder.build(start.0, 0, n as u32)
+        builder.build(self.table.start, 0, input.len() as u32)
     }
 }
 
-struct TreeBuilder<'a, 'g> {
-    earley: &'a Earley<'g>,
+impl Earley<'static> {
+    /// Creates a parser that owns `grammar`.
+    pub fn owned(grammar: Grammar) -> Self {
+        Earley { table: Table::new(&grammar), grammar: Cow::Owned(grammar) }
+    }
+}
+
+struct TreeBuilder<'a> {
+    grammar: &'a Grammar,
     input: &'a [u8],
     completed: HashMap<(u32, u32), Vec<u32>>,
     fail: HashSet<(u32, u32, u32)>,
     in_progress: HashSet<(u32, u32, u32)>,
 }
 
-impl TreeBuilder<'_, '_> {
+impl TreeBuilder<'_> {
     fn spans(&self, nt: u32, start: u32) -> &[u32] {
         self.completed.get(&(nt, start)).map(Vec::as_slice).unwrap_or(&[])
     }
@@ -315,7 +464,7 @@ impl TreeBuilder<'_, '_> {
         if !self.in_progress.insert(key) {
             return None;
         }
-        let prods = self.earley.grammar.productions(NtId(nt));
+        let prods = self.grammar.productions(NtId(nt));
         let mut result = None;
         for (pi, rhs) in prods.iter().enumerate() {
             if let Some(children) = self.match_seq(rhs, 0, start, end) {

@@ -10,8 +10,9 @@
 //! * [`cfg::Grammar`] — context-free grammars with byte-class terminals (the
 //!   output of GLADE's phase two and the representation of the handwritten
 //!   evaluation grammars).
-//! * [`Earley`] — a general CFG recognizer/parser used for recall
-//!   measurement and by the grammar-based fuzzer.
+//! * [`Earley`] — a general CFG recognizer/parser, compiled once per
+//!   grammar: the membership oracle of the handwritten target languages,
+//!   recall measurement, and seed parsing for the grammar-based fuzzer.
 //! * [`Sampler`] — bounded-depth uniform-production sampling of grammar
 //!   members (the distribution of Section 8.1 of the paper).
 //!

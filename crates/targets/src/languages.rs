@@ -33,31 +33,31 @@ impl Language {
 
     /// A membership oracle for the language (Earley recognition).
     pub fn oracle(&self) -> GrammarOracle {
-        GrammarOracle { grammar: self.grammar.clone() }
+        GrammarOracle::new(self.grammar.clone())
     }
 }
 
-/// Membership oracle backed by a [`Grammar`].
+/// Membership oracle backed by a [`Grammar`], compiled once for the chart.
 #[derive(Debug, Clone)]
 pub struct GrammarOracle {
-    grammar: Grammar,
+    earley: Earley<'static>,
 }
 
 impl GrammarOracle {
     /// Creates an oracle for `grammar`.
     pub fn new(grammar: Grammar) -> Self {
-        GrammarOracle { grammar }
+        GrammarOracle { earley: Earley::owned(grammar) }
     }
 
     /// The underlying grammar.
     pub fn grammar(&self) -> &Grammar {
-        &self.grammar
+        self.earley.grammar()
     }
 }
 
 impl Oracle for GrammarOracle {
     fn accepts(&self, input: &[u8]) -> bool {
-        Earley::new(&self.grammar).accepts(input)
+        self.earley.accepts(input)
     }
 }
 

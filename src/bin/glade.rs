@@ -84,8 +84,8 @@ use glade_repro::core::serve::{
 use glade_repro::core::{
     is_binary_snapshot, serve_oracle_worker, serve_oracle_worker_v1, snapshot_from_binary,
     snapshot_from_reader, snapshot_to_binary, snapshot_to_text_with_memo, BinaryCacheFile,
-    CacheFormat, CachingOracle, CancelToken, GladeBuilder, GladeConfig, InputMode, Oracle,
-    PooledProcessOracle, ProcessOracle, SynthEvent, SynthesisObserver,
+    CacheFormat, CancelToken, GladeBuilder, GladeConfig, InputMode, Oracle, PooledProcessOracle,
+    ProcessOracle, SynthEvent, SynthesisObserver,
 };
 use glade_repro::fuzz::{Fuzzer, GrammarFuzzer};
 use glade_repro::grammar::{grammar_from_text, grammar_to_text, Earley, Grammar, Sampler};
@@ -93,7 +93,7 @@ use glade_repro::targets::languages::{section82_languages, toy_xml};
 use glade_repro::targets::programs::{all_targets, target_by_name};
 use glade_repro::targets::TargetOracle;
 use rand::SeedableRng;
-use std::io::Read as _;
+use std::io::{Read as _, Write as _};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -109,18 +109,7 @@ fn main() -> ExitCode {
         Some("serve") => cmd_serve(&args[1..]),
         #[cfg(any(target_os = "linux", target_os = "macos"))]
         Some("client") => cmd_client(&args[1..]),
-        Some("targets") => {
-            for t in all_targets() {
-                println!(
-                    "{:<12} {:>5} source lines, {:>4} coverage points, {} seeds",
-                    t.name(),
-                    t.source_lines(),
-                    t.coverable_lines(),
-                    t.seeds().len()
-                );
-            }
-            Ok(())
-        }
+        Some("targets") => cmd_targets(),
         Some("--help") | Some("-h") | None => {
             eprint!("{}", USAGE);
             Ok(())
@@ -356,14 +345,13 @@ fn cmd_synth(argv: &[String]) -> Result<(), String> {
         (Some(_), Some(_)) => return Err("--cmd and --target are mutually exclusive".into()),
         (None, None) => return Err("one of --cmd or --target is required".into()),
     };
-    let oracle = CachingOracle::new(oracle);
 
     let start = std::time::Instant::now();
     let mut builder = GladeBuilder::from_config(config).oracle_fingerprint(fingerprint);
     if events {
         builder = builder.observer(StderrEvents);
     }
-    let mut session = builder.session(&oracle);
+    let mut session = builder.session(&*oracle);
     if let Some(path) = &cache_path {
         if std::path::Path::new(path).exists() {
             let loaded = session.load_cache(path).map_err(|e| format!("{path}: {e}"))?;
@@ -873,6 +861,29 @@ fn cmd_client(argv: &[String]) -> Result<(), String> {
         None => print!("{}", outcome.grammar_text),
     }
     Ok(())
+}
+
+/// `glade targets`: one line per built-in instrumented target. A reader
+/// that stops early (`glade targets | head -1`) ends the listing quietly.
+fn cmd_targets() -> Result<(), String> {
+    let list = || -> std::io::Result<()> {
+        let mut out = std::io::stdout().lock();
+        for t in all_targets() {
+            writeln!(
+                out,
+                "{:<12} {:>5} source lines, {:>4} coverage points, {} seeds",
+                t.name(),
+                t.source_lines(),
+                t.coverable_lines(),
+                t.seeds().len()
+            )?;
+        }
+        out.flush()
+    };
+    match list() {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(format!("stdout: {e}")),
+        _ => Ok(()),
+    }
 }
 
 fn cmd_sample(argv: &[String]) -> Result<(), String> {
