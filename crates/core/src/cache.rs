@@ -1,50 +1,31 @@
-//! Mutex-striped concurrent query cache with a negative-lookup filter and
-//! optional residency caps.
+//! The membership-query cache: one mutex-guarded map from query strings to
+//! oracle verdicts, with an optional residency cap.
 //!
 //! Both [`CachingOracle`](crate::CachingOracle) and the internal
-//! `QueryRunner` memoize membership queries. The single-threaded seed
-//! implementation used `RefCell<HashMap>`; to let checks fan out across
-//! worker threads the cache is now sharded: keys are distributed over N
-//! independently locked `HashMap` shards by hash, so concurrent lookups and
-//! inserts of different keys almost never contend on the same mutex.
+//! `QueryRunner` memoize membership queries here, so no query is paid
+//! twice. The runner, the chargen and phase-2 planners, and the session
+//! all call `get`/`insert` from the calling thread; the mutex is there
+//! because a `CachingOracle` is shared across engine worker threads.
 //!
-//! Two production-scale layers sit on top of the shards:
-//!
-//! * **Negative-lookup filter** — synthesis is miss-dominated (most checks
-//!   are posed exactly once), so the hot path of `get` consults a
-//!   fixed-size lock-free bloom filter first and returns without touching
-//!   any mutex when the key was definitely never inserted. The filter is
-//!   marked on every insert (including snapshot loads, which go through
-//!   `insert`); false positives merely fall through to the shard lock,
-//!   false negatives cannot occur because marking precedes map insertion.
-//! * **Residency cap** — [`ShardedCache::with_max_entries`] bounds the
-//!   number of resident entries per cache for long-lived campaigns,
-//!   evicting with a second-chance (clock) sweep over each shard's
-//!   deterministic iteration order. Eviction can only cause a later
-//!   re-query (same verdict — oracles are deterministic), never a changed
-//!   answer, so grammars are unaffected. [`ShardedCache::len`] counts
-//!   *distinct keys ever inserted* — an 8-byte per-key ledger survives
-//!   eviction so `unique_queries` accounting stays exact.
+//! * **Residency cap** — [`QueryCache::with_max_entries`] keeps at most
+//!   `n` verdicts resident for long-lived campaigns, evicting with a
+//!   second-chance (clock) sweep over the map's deterministic iteration
+//!   order. Eviction can only cause a later re-query (same verdict —
+//!   oracles are deterministic), never a changed answer, so grammars are
+//!   unaffected.
+//! * **Distinct-key ledger** — [`QueryCache::len`] counts *distinct keys
+//!   ever inserted*, so `unique_queries` stays exact after evictions. Under
+//!   a cap this takes one `u64` hash per distinct query in a `HashSet`
+//!   that eviction never shrinks: the cap bounds resident verdicts, not
+//!   memory.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-/// Number of mutex stripes. 16 keeps contention negligible for the worker
-/// counts this crate spawns (bounded by available cores) at trivial memory
-/// cost.
-const SHARD_COUNT: usize = 16;
-
-/// Negative-lookup filter size: 2²¹ bits (256 KiB) with two probes per
-/// key keeps the false-positive rate under ~1% at 10⁵ entries. Past ~10⁶
-/// entries the filter saturates and `get` degrades gracefully to the
-/// always-lock behavior.
-const FILTER_WORDS: usize = 1 << 15;
-const FILTER_BITS: u64 = (FILTER_WORDS as u64) * 64;
-
-/// Deterministic (unkeyed) hasher: shard choice and dedup hashing must not
-/// vary between runs, so synthesis stays reproducible.
+/// Deterministic (unkeyed) hasher: map iteration order (and so eviction
+/// order) and dedup hashing must not vary between runs, so synthesis stays
+/// reproducible.
 type FixedState = BuildHasherDefault<DefaultHasher>;
 
 /// Hashes a query string with the crate's fixed hasher.
@@ -62,82 +43,43 @@ struct Slot {
 #[derive(Debug, Default)]
 struct Shard {
     map: HashMap<Vec<u8>, Slot, FixedState>,
-    /// Hashes of every key ever inserted into this shard. Maintained only
-    /// when a residency cap is set: it is what keeps distinct-key counting
-    /// (and therefore `unique_queries`) exact after evictions, at 8 bytes
-    /// per distinct key instead of the key bytes themselves.
+    /// Hashes of every key ever inserted. Maintained only when a residency
+    /// cap is set: it is what keeps distinct-key counting (and therefore
+    /// `unique_queries`) exact after evictions.
     seen: HashSet<u64, FixedState>,
+    evictions: usize,
 }
 
 /// A `Sync` map from query strings to oracle verdicts.
 #[derive(Debug)]
-pub(crate) struct ShardedCache {
-    shards: Vec<Mutex<Shard>>,
-    /// Lock-free negative-lookup filter over every key ever inserted.
-    filter: Box<[AtomicU64]>,
-    /// Distinct keys ever inserted (never decremented by eviction).
-    len: AtomicUsize,
-    /// Resident-entry cap per shard (`usize::MAX` = uncapped).
-    shard_cap: usize,
-    evictions: AtomicUsize,
-    /// `get` calls answered "absent" by the filter alone (no lock taken).
-    filter_negatives: AtomicUsize,
+pub(crate) struct QueryCache {
+    shard: Mutex<Shard>,
+    /// Resident-entry cap (`usize::MAX` = uncapped).
+    cap: usize,
 }
 
-impl ShardedCache {
+impl QueryCache {
     pub fn new() -> Self {
-        ShardedCache::with_max_entries(None)
+        QueryCache::with_max_entries(None)
     }
 
-    /// A cache whose resident entries are capped at roughly
-    /// `max_entries` (rounded up to a per-shard cap; `None` = unbounded).
-    /// See the module docs for the eviction policy and its guarantees.
+    /// A cache that keeps at most `max_entries` entries resident (`None`
+    /// = unbounded). See the module docs for the eviction policy and its
+    /// guarantees.
     pub fn with_max_entries(max_entries: Option<usize>) -> Self {
-        ShardedCache {
-            shards: (0..SHARD_COUNT).map(|_| Mutex::new(Shard::default())).collect(),
-            filter: (0..FILTER_WORDS).map(|_| AtomicU64::new(0)).collect(),
-            len: AtomicUsize::new(0),
-            shard_cap: max_entries.map_or(usize::MAX, |n| n.div_ceil(SHARD_COUNT).max(1)),
-            evictions: AtomicUsize::new(0),
-            filter_negatives: AtomicUsize::new(0),
+        QueryCache {
+            shard: Mutex::new(Shard::default()),
+            cap: max_entries.map_or(usize::MAX, |n| n.max(1)),
         }
     }
 
-    fn shard_index(h: u64) -> usize {
-        // High bits: the low bits also pick the HashMap bucket.
-        (h >> 59) as usize % SHARD_COUNT
+    fn lock(&self) -> MutexGuard<'_, Shard> {
+        self.shard.lock().expect("query cache poisoned")
     }
 
-    /// The filter's two probe positions for a key hash: disjoint bit
-    /// ranges of the (already well-mixed) 64-bit hash.
-    fn filter_probes(h: u64) -> [(usize, u64); 2] {
-        let b1 = h & (FILTER_BITS - 1);
-        let b2 = (h >> 21) & (FILTER_BITS - 1);
-        [((b1 / 64) as usize, 1u64 << (b1 % 64)), ((b2 / 64) as usize, 1u64 << (b2 % 64))]
-    }
-
-    /// Whether `h` might have been inserted. `false` is definitive.
-    fn filter_maybe_contains(&self, h: u64) -> bool {
-        Self::filter_probes(h)
-            .iter()
-            .all(|&(word, bit)| self.filter[word].load(Ordering::Relaxed) & bit != 0)
-    }
-
-    fn filter_mark(&self, h: u64) {
-        for (word, bit) in Self::filter_probes(h) {
-            self.filter[word].fetch_or(bit, Ordering::Relaxed);
-        }
-    }
-
-    /// Looks up a cached verdict. Keys never inserted are usually
-    /// answered by the negative filter without locking any shard.
+    /// Looks up a cached verdict.
     pub fn get(&self, key: &[u8]) -> Option<bool> {
-        let h = hash_query(key);
-        if !self.filter_maybe_contains(h) {
-            self.filter_negatives.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let mut shard = self.shards[Self::shard_index(h)].lock().expect("cache shard poisoned");
+        let mut shard = self.lock();
         let slot = shard.map.get_mut(key)?;
         slot.referenced = true;
         Some(slot.verdict)
@@ -148,33 +90,25 @@ impl ShardedCache {
     /// already counted). An already-resident key keeps its original
     /// verdict (oracles are deterministic, so both verdicts agree).
     pub fn insert(&self, key: Vec<u8>, verdict: bool) -> bool {
-        let h = hash_query(&key);
-        // Mark before the map insert: a concurrent `get` that sees the
-        // map entry must also see the filter bits.
-        self.filter_mark(h);
-        let mut guard = self.shards[Self::shard_index(h)].lock().expect("cache shard poisoned");
+        let mut guard = self.lock();
         let shard = &mut *guard;
         if shard.map.contains_key(&key) {
             return false;
         }
-        if shard.map.len() >= self.shard_cap {
-            Self::evict_one(shard, &self.evictions);
+        if shard.map.len() >= self.cap {
+            Self::evict_one(shard);
         }
-        let fresh = if self.shard_cap == usize::MAX { true } else { shard.seen.insert(h) };
+        let fresh = self.cap == usize::MAX || shard.seen.insert(hash_query(&key));
         shard.map.insert(key, Slot { verdict, referenced: false });
-        drop(guard);
-        if fresh {
-            self.len.fetch_add(1, Ordering::Relaxed);
-        }
         fresh
     }
 
-    /// Evicts one entry from a full shard: a second-chance sweep in the
+    /// Evicts one entry from a full map: a second-chance sweep in the
     /// map's iteration order (deterministic — the hasher is fixed) clears
     /// reference bits until it finds an unreferenced entry; if every
     /// entry had its second chance pending, the first entry goes (its bit
     /// was just cleared, making the next sweep a plain clock pass).
-    fn evict_one(shard: &mut Shard, evictions: &AtomicUsize) {
+    fn evict_one(shard: &mut Shard) {
         let mut victim: Option<Vec<u8>> = None;
         for (key, slot) in shard.map.iter_mut() {
             if slot.referenced {
@@ -189,62 +123,49 @@ impl ShardedCache {
             None => return,
         };
         shard.map.remove(&victim);
-        evictions.fetch_add(1, Ordering::Relaxed);
+        shard.evictions += 1;
     }
 
     /// Number of distinct cached queries ever inserted. Not decremented
     /// by eviction: this is the session's `unique_queries` ledger, and an
     /// evicted entry was still a distinct query.
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        let shard = self.lock();
+        if self.cap == usize::MAX {
+            shard.map.len()
+        } else {
+            shard.seen.len()
+        }
     }
 
-    /// Number of entries currently resident (equals [`ShardedCache::len`]
+    /// Number of entries currently resident (equals [`QueryCache::len`]
     /// for uncapped caches; at most the configured cap otherwise).
     pub fn resident(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("cache shard poisoned").map.len()).sum()
+        self.lock().map.len()
     }
 
     /// Entries evicted by the residency cap so far.
     pub fn evictions(&self) -> usize {
-        self.evictions.load(Ordering::Relaxed)
+        self.lock().evictions
     }
 
-    /// `get` calls answered "absent" by the negative filter alone, i.e.
-    /// without taking any shard lock.
-    pub fn filter_negatives(&self) -> usize {
-        self.filter_negatives.load(Ordering::Relaxed)
-    }
-
-    /// Copies every resident `(query, verdict)` entry out, in unspecified
-    /// order (serialization via `persist::cache_to_text` sorts; sorting
-    /// here too would be a redundant O(n log n) pass on every snapshot).
-    ///
-    /// The pass is consistent: **all** shard locks are acquired — in
-    /// ascending shard-index order, the crate's only multi-shard lock
-    /// site — before any entry is copied, and the output is sized from
-    /// the locked shards' actual lengths. (The previous implementation
-    /// sized from the lock-free `len()` hint and locked shards one at a
-    /// time, so a concurrent insert could both stale the size hint and
-    /// let the copy observe a key in two states across shards.)
+    /// Copies every resident `(query, verdict)` entry out under one lock,
+    /// in unspecified order (serialization via `persist::cache_to_text`
+    /// sorts; sorting here too would be a redundant O(n log n) pass on
+    /// every snapshot).
     pub fn snapshot(&self) -> Vec<(Vec<u8>, bool)> {
-        let guards: Vec<MutexGuard<'_, Shard>> =
-            self.shards.iter().map(|s| s.lock().expect("cache shard poisoned")).collect();
-        let mut out = Vec::with_capacity(guards.iter().map(|g| g.map.len()).sum());
-        for guard in &guards {
-            out.extend(guard.map.iter().map(|(k, slot)| (k.clone(), slot.verdict)));
-        }
-        out
+        self.lock().map.iter().map(|(k, slot)| (k.clone(), slot.verdict)).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn get_insert_len() {
-        let c = ShardedCache::new();
+        let c = QueryCache::new();
         assert_eq!(c.get(b"x"), None);
         assert!(c.insert(b"x".to_vec(), true));
         assert!(!c.insert(b"x".to_vec(), false), "duplicate insert is not fresh");
@@ -257,7 +178,7 @@ mod tests {
 
     #[test]
     fn concurrent_inserts_count_once_per_key() {
-        let c = ShardedCache::new();
+        let c = QueryCache::new();
         std::thread::scope(|s| {
             for t in 0..8 {
                 let c = &c;
@@ -273,7 +194,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_complete() {
-        let c = ShardedCache::new();
+        let c = QueryCache::new();
         c.insert(b"zz".to_vec(), true);
         c.insert(b"a".to_vec(), false);
         c.insert(b"mm".to_vec(), true);
@@ -287,10 +208,9 @@ mod tests {
 
     #[test]
     fn snapshot_under_concurrent_inserts_is_well_formed() {
-        // Regression for the stale-capacity/inconsistent-pass bug: snapshot
-        // while writers insert; every snapshotted key must appear exactly
-        // once with a valid verdict, and the size must equal its contents.
-        let c = ShardedCache::new();
+        // Snapshot while a writer inserts; every snapshotted key must
+        // appear exactly once with a valid verdict.
+        let c = QueryCache::new();
         std::thread::scope(|s| {
             let c = &c;
             s.spawn(move || {
@@ -310,65 +230,74 @@ mod tests {
     }
 
     #[test]
-    fn negative_filter_answers_absent_keys_without_locking() {
-        let c = ShardedCache::new();
-        c.insert(b"present".to_vec(), true);
-        assert_eq!(c.get(b"present"), Some(true));
-        let before = c.filter_negatives();
-        for i in 0..100u32 {
-            assert_eq!(c.get(format!("absent-{i}").as_bytes()), None);
-        }
-        // With 2 probes over 2^21 bits and one insert, essentially every
-        // absent key is filtered; tolerate a stray false positive.
-        assert!(c.filter_negatives() - before >= 99, "{}", c.filter_negatives() - before);
-        // Present keys are never filtered (no false negatives).
-        assert_eq!(c.get(b"present"), Some(true));
-    }
-
-    #[test]
     fn residency_cap_evicts_but_len_counts_distinct_ever() {
         let cap = 64;
-        let c = ShardedCache::with_max_entries(Some(cap));
+        let c = QueryCache::with_max_entries(Some(cap));
         let n = 1000u32;
         for i in 0..n {
             c.insert(format!("key-{i:04}").into_bytes(), i % 2 == 0);
         }
         assert_eq!(c.len(), n as usize, "distinct-ever ledger ignores eviction");
-        // Per-shard cap is ceil(64/16) = 4, so at most 64 stay resident.
-        assert!(c.resident() <= cap, "resident {} exceeds cap {cap}", c.resident());
-        assert!(c.evictions() >= (n as usize) - cap);
+        assert_eq!(c.resident(), cap, "the cap is exact");
+        assert_eq!(c.evictions(), n as usize - cap);
         // Evicted keys read as absent; re-inserting one is not fresh and
         // does not grow the distinct count.
-        let resident_before = c.resident();
         assert!(!c.insert(b"key-0000".to_vec(), true), "reinsert of an evicted key is not fresh");
         assert_eq!(c.len(), n as usize);
-        assert!(c.resident() <= resident_before.max(cap));
+        assert_eq!(c.resident(), cap);
         assert_eq!(c.get(b"key-0000"), Some(true), "reinserted key is resident again");
     }
 
     #[test]
     fn second_chance_prefers_unreferenced_victims() {
-        // One shard's worth of traffic: keys that were `get`-referenced
-        // survive the next eviction sweep; an untouched key goes first.
-        let c = ShardedCache::with_max_entries(Some(SHARD_COUNT * 2)); // 2 per shard
-        let mut keys: Vec<Vec<u8>> = Vec::new();
-        // Find three keys landing in the same shard.
-        let mut i = 0u32;
-        while keys.len() < 3 {
-            let k = format!("probe-{i}").into_bytes();
-            if ShardedCache::shard_index(hash_query(&k)) == 0 {
-                keys.push(k);
+        // Keys that were `get`-referenced survive the next eviction
+        // sweep; an untouched key goes first.
+        let c = QueryCache::with_max_entries(Some(2));
+        c.insert(b"a".to_vec(), true);
+        c.insert(b"b".to_vec(), false);
+        // Reference "a" so it has a second chance; "b" does not.
+        assert_eq!(c.get(b"a"), Some(true));
+        c.insert(b"c".to_vec(), true);
+        assert_eq!(c.get(b"a"), Some(true), "referenced key survived");
+        assert_eq!(c.get(b"b"), None, "unreferenced key was evicted");
+        assert_eq!(c.get(b"c"), Some(true));
+    }
+
+    #[test]
+    fn random_operations_match_a_map_model() {
+        // Random insert/get sequences over a small key space, capped and
+        // uncapped, against a plain map of the first verdict per key.
+        // Uncapped, inserts carry random verdicts (the first must win).
+        // Capped, an evicted key is re-stored by its next insert, so
+        // verdicts come from a fixed per-key table, as from a
+        // deterministic oracle.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xCAC4E);
+        for cap in [None, Some(1), Some(3), Some(8)] {
+            for _ in 0..20 {
+                let c = QueryCache::with_max_entries(cap);
+                let oracle: Vec<bool> = (0..16).map(|_| rng.gen_bool(0.5)).collect();
+                let mut model: HashMap<Vec<u8>, bool> = HashMap::new();
+                for _ in 0..400 {
+                    let k = rng.gen_range(0u8..16);
+                    let key = vec![b'k', k];
+                    if rng.gen_bool(0.5) {
+                        let verdict =
+                            if cap.is_none() { rng.gen_bool(0.5) } else { oracle[k as usize] };
+                        let fresh = !model.contains_key(&key);
+                        model.entry(key.clone()).or_insert(verdict);
+                        assert_eq!(c.insert(key, verdict), fresh, "fresh exactly once per key");
+                    } else if let Some(got) = c.get(&key) {
+                        assert_eq!(Some(&got), model.get(&key), "get returns the first verdict");
+                    }
+                    assert_eq!(c.len(), model.len());
+                    assert!(c.resident() <= cap.unwrap_or(usize::MAX));
+                }
+                if cap.is_none() {
+                    assert_eq!(c.resident(), model.len());
+                    assert_eq!(c.evictions(), 0);
+                }
             }
-            i += 1;
         }
-        c.insert(keys[0].clone(), true);
-        c.insert(keys[1].clone(), false);
-        // Reference key[0] so it has a second chance; key[1] does not.
-        assert_eq!(c.get(&keys[0]), Some(true));
-        c.insert(keys[2].clone(), true);
-        assert_eq!(c.get(&keys[0]), Some(true), "referenced key survived");
-        assert_eq!(c.get(&keys[1]), None, "unreferenced key was evicted");
-        assert_eq!(c.get(&keys[2]), Some(true));
     }
 
     #[test]
@@ -380,6 +309,6 @@ mod tests {
     #[test]
     fn cache_is_sync() {
         fn assert_sync<T: Send + Sync>() {}
-        assert_sync::<ShardedCache>();
+        assert_sync::<QueryCache>();
     }
 }

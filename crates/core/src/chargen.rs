@@ -46,9 +46,9 @@
 //!   alphabet)` tuple; see `memo::memo_key`. Terminals whose key matches a
 //!   session [`ByteClassMemo`](crate::memo::ByteClassMemo) entry (learned
 //!   by an earlier run or loaded from a `glade-cache v3` snapshot) adopt
-//!   the stored classes without posing a single probe; terminals sharing a
-//!   key *within* one plan are generalized once, with the siblings copying
-//!   the representative's result.
+//!   the stored classes without posing a single probe. Terminals sharing a
+//!   key within one plan are probed alike; in-wave dedup (below) poses
+//!   their identical checks once.
 //! * **Context short-circuiting.** A byte joins a class only if accepted
 //!   in *every* context, and conjunction short-circuits: probes are posed
 //!   one context per wave, and a candidate rejected in context `k` never
@@ -67,7 +67,7 @@
 //! and the [`SynthEvent::ProbesElided`](crate::SynthEvent::ProbesElided)
 //! event.
 
-use crate::cache::{hash_query, ShardedCache};
+use crate::cache::{hash_query, QueryCache};
 use crate::memo::{memo_key, ByteClassMemo};
 use crate::runner::{CheckSpec, QueryRunner};
 use crate::tree::{ConstNode, Node};
@@ -212,17 +212,6 @@ pub(crate) fn default_test_bytes() -> Vec<u8> {
     v
 }
 
-/// How one planned terminal obtains its byte classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ConstSource {
-    /// Generalized by live probes (the terminal is its key's representative).
-    Probed,
-    /// Adopted wholesale from the session memo table.
-    FromMemo,
-    /// Copies the final classes of the representative const at this index.
-    Sibling(usize),
-}
-
 /// Per-terminal planning state of a staged run.
 #[derive(Debug)]
 struct StagedConst<'t> {
@@ -232,7 +221,8 @@ struct StagedConst<'t> {
     key: Option<u128>,
     /// Working copy of the byte classes, mutated as probes accept.
     classes: Vec<CharClass>,
-    source: ConstSource,
+    /// Classes adopted wholesale from the session memo table (no probes).
+    from_memo: bool,
 }
 
 /// One `(terminal, position, candidate byte)` widening probe advancing
@@ -258,8 +248,8 @@ pub(crate) struct ChargenOutcome {
     /// `(position, byte)` pairs accepted — the one-shot plan's count, so
     /// `chars_generalized` parity holds however the classes were obtained.
     pub accepted: usize,
-    /// Terminals whose classes were adopted (memo table or in-plan
-    /// sibling) instead of probed.
+    /// Terminals whose classes were adopted from the memo table instead
+    /// of probed.
     pub memo_hits: usize,
     /// Checks the one-shot plan would have posed that never reached the
     /// query engine (adopted terminals, short-circuited contexts, in-wave
@@ -304,7 +294,7 @@ impl<'t> StagedChargen<'t> {
                     node: c,
                     key: None,
                     classes: c.classes.clone(),
-                    source: ConstSource::Probed,
+                    from_memo: false,
                 });
             });
         }
@@ -317,7 +307,6 @@ impl<'t> StagedChargen<'t> {
             memo_hits: 0,
             probes_elided: 0,
         };
-        let mut key_to_rep: HashMap<u128, usize> = HashMap::new();
         for idx in 0..staged.consts.len() {
             let c = staged.consts[idx].node;
             if c.original.is_empty() {
@@ -325,28 +314,20 @@ impl<'t> StagedChargen<'t> {
             }
             let key = memo_key(&c.original, &c.contexts, test_bytes);
             staged.consts[idx].key = Some(key);
-            // The number of checks the one-shot plan would pose for this
-            // terminal — the elision value of adopting its classes.
-            let full_cost = staged.probe_cost(idx);
             if let Some(stored) = memo.get(key) {
                 // Guard against a corrupted snapshot (or an astronomically
                 // unlikely fingerprint collision): a stored entry that does
                 // not even match the terminal's shape is ignored.
                 if stored.len() == c.original.len() {
                     staged.consts[idx].classes = stored.clone();
-                    staged.consts[idx].source = ConstSource::FromMemo;
+                    staged.consts[idx].from_memo = true;
                     staged.memo_hits += 1;
-                    staged.probes_elided += full_cost;
+                    // Every check the one-shot plan would pose for this
+                    // terminal is elided.
+                    staged.probes_elided += staged.probe_cost(idx);
                     continue;
                 }
             }
-            if let Some(&rep) = key_to_rep.get(&key) {
-                staged.consts[idx].source = ConstSource::Sibling(rep);
-                staged.memo_hits += 1;
-                staged.probes_elided += full_cost;
-                continue;
-            }
-            key_to_rep.insert(key, idx);
             for position in 0..c.original.len() {
                 for (byte_idx, &sigma) in test_bytes.iter().enumerate() {
                     if sigma == c.original[position] || c.classes[position].contains(sigma) {
@@ -398,7 +379,7 @@ impl<'t> StagedChargen<'t> {
     /// session cache (possibly through several contexts), accepts, dies,
     /// or poses exactly one check. Returns the number of checks appended;
     /// zero means the staged run is complete (every probe resolved).
-    pub fn plan_wave(&mut self, checks: &mut Vec<CheckSpec<'t>>, cache: &ShardedCache) -> usize {
+    pub fn plan_wave(&mut self, checks: &mut Vec<CheckSpec<'t>>, cache: &QueryCache) -> usize {
         debug_assert!(self.slots.is_empty(), "previous wave not folded");
         let start = checks.len();
         let mut dedup: HashMap<u64, Vec<usize>> = HashMap::new();
@@ -477,17 +458,10 @@ impl<'t> StagedChargen<'t> {
         debug_assert!(self.active.is_empty() && self.slots.is_empty(), "staged run incomplete");
         let StagedChargen { test_bytes, consts, accepted, memo_hits, probes_elided, .. } = self;
         let mut accepted = accepted;
-        // Snapshot the representatives' classes first, so sibling
-        // resolution is order-independent.
-        let rep_classes: Vec<Vec<CharClass>> = consts.iter().map(|c| c.classes.clone()).collect();
         let mut classes: Vec<Vec<CharClass>> = Vec::with_capacity(consts.len());
         let mut memo_inserts: Vec<(u128, Vec<CharClass>)> = Vec::new();
-        for c in &consts {
-            let finals = match c.source {
-                ConstSource::Sibling(rep) => rep_classes[rep].clone(),
-                _ => c.classes.clone(),
-            };
-            if !matches!(c.source, ConstSource::Probed) {
+        for c in consts {
+            if c.from_memo {
                 // Adopted terminals still count the (position, byte) pairs
                 // the one-shot plan would have accepted: exactly the
                 // probe-generating candidates that ended up in the class.
@@ -497,17 +471,14 @@ impl<'t> StagedChargen<'t> {
                         .filter(|&&sigma| {
                             sigma != orig
                                 && !c.node.classes[position].contains(sigma)
-                                && finals[position].contains(sigma)
+                                && c.classes[position].contains(sigma)
                         })
                         .count();
                 }
+            } else if let Some(key) = c.key {
+                memo_inserts.push((key, c.classes.clone()));
             }
-            if matches!(c.source, ConstSource::Probed) {
-                if let Some(key) = c.key {
-                    memo_inserts.push((key, finals.clone()));
-                }
-            }
-            classes.push(finals);
+            classes.push(c.classes);
         }
         ChargenOutcome { classes, accepted, memo_hits, probes_elided, memo_inserts }
     }
@@ -529,13 +500,13 @@ pub(crate) fn apply_staged_classes(trees: &mut [Node], classes: &[Vec<CharClass>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::ShardedCache;
+    use crate::cache::QueryCache;
     use crate::phase1::Phase1;
     use crate::runner::RunnerOptions;
     use crate::testing::xml_like;
     use crate::{FnOracle, Oracle};
 
-    fn test_runner<'s>(oracle: &'s dyn Oracle, cache: &'s ShardedCache) -> QueryRunner<'s> {
+    fn test_runner<'s>(oracle: &'s dyn Oracle, cache: &'s QueryCache) -> QueryRunner<'s> {
         QueryRunner::new(oracle, cache, RunnerOptions { workers: 2, ..RunnerOptions::default() })
     }
 
@@ -544,7 +515,7 @@ mod tests {
         // Section 6.2: h and i generalize to a..z; the tag bytes < a > /
         // do not generalize.
         let oracle = FnOracle::new(xml_like);
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = test_runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let mut trees = vec![p1.generalize_seed(b"<a>hi</a>")];
@@ -563,7 +534,7 @@ mod tests {
     fn digits_generalize_in_digit_language() {
         // L = nonempty digit strings.
         let oracle = FnOracle::new(|i: &[u8]| !i.is_empty() && i.iter().all(u8::is_ascii_digit));
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = test_runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let mut trees = vec![p1.generalize_seed(b"7")];
@@ -578,7 +549,7 @@ mod tests {
     #[test]
     fn counts_accepted_pairs() {
         let oracle = FnOracle::new(|i: &[u8]| i.len() == 1 && i[0].is_ascii_lowercase());
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = test_runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let mut trees = vec![p1.generalize_seed(b"m")];
@@ -593,7 +564,7 @@ mod tests {
         // Two single-letter seeds in one plan: the aggregated batch answers
         // both trees' probes, and applying distributes verdicts per tree.
         let oracle = FnOracle::new(|i: &[u8]| i.len() == 1 && i[0].is_ascii_lowercase());
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = test_runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let mut trees = vec![p1.generalize_seed(b"m"), p1.generalize_seed(b"q")];
@@ -610,7 +581,7 @@ mod tests {
     #[test]
     fn respects_budget() {
         let oracle = FnOracle::new(|_: &[u8]| true);
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = QueryRunner::new(
             &oracle,
             &cache,
@@ -628,7 +599,7 @@ mod tests {
     fn run_staged(
         trees: &mut [Node],
         runner: &QueryRunner<'_>,
-        cache: &ShardedCache,
+        cache: &QueryCache,
         memo: &mut ByteClassMemo,
         test_bytes: &[u8],
     ) -> (usize, usize, usize) {
@@ -656,13 +627,13 @@ mod tests {
         let oracle = FnOracle::new(xml_like);
         let tb = default_test_bytes();
 
-        let legacy_cache = ShardedCache::new();
+        let legacy_cache = QueryCache::new();
         let legacy_runner = test_runner(&oracle, &legacy_cache);
         let mut p1 = Phase1::new(&legacy_runner, 0);
         let mut legacy_trees = vec![p1.generalize_seed(b"<a>hi</a>")];
         let legacy_n = generalize_chars(&mut legacy_trees, &legacy_runner, &tb);
 
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = test_runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let mut trees = vec![p1.generalize_seed(b"<a>hi</a>")];
@@ -680,43 +651,21 @@ mod tests {
     }
 
     #[test]
-    fn identical_terminals_share_probes_within_a_run() {
-        // Two identical seeds yield byte-identical terminals in identical
-        // contexts: one representative is probed, siblings adopt.
-        let oracle = FnOracle::new(|i: &[u8]| i.len() == 1 && i[0].is_ascii_lowercase());
-        let cache = ShardedCache::new();
-        let runner = test_runner(&oracle, &cache);
-        let mut p1 = Phase1::new(&runner, 0);
-        let mut trees = vec![p1.generalize_seed(b"m"), p1.generalize_seed(b"m")];
-        let tb = default_test_bytes();
-        let mut memo = ByteClassMemo::new();
-        let (accepted, memo_hits, elided) = run_staged(&mut trees, &runner, &cache, &mut memo, &tb);
-        assert_eq!(accepted, 50, "both trees widen to the 25 other lowercase letters");
-        assert!(memo_hits >= 1, "duplicate terminal not shared");
-        assert!(elided > 0);
-        for tree in &trees {
-            let r = tree.to_regex();
-            assert!(r.is_match(b"a"));
-            assert!(!r.is_match(b"A"));
-        }
-    }
-
-    #[test]
     fn memo_adoption_poses_no_probes_and_reproduces_classes() {
         let oracle = FnOracle::new(xml_like);
         let tb = default_test_bytes();
         let mut memo = ByteClassMemo::new();
 
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = test_runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let mut trees = vec![p1.generalize_seed(b"<a>hi</a>")];
         let (first_accepted, ..) = run_staged(&mut trees, &runner, &cache, &mut memo, &tb);
-        assert!(memo.len() > 0, "completed run must memoize its representatives");
+        assert!(memo.len() > 0, "completed run must memoize its probed terminals");
 
         // Fresh cache, fresh trees, warm memo: every terminal adopts, the
         // runner sees zero chargen checks, and the classes are identical.
-        let cache2 = ShardedCache::new();
+        let cache2 = QueryCache::new();
         let runner2 = test_runner(&oracle, &cache2);
         let mut p1 = Phase1::new(&runner2, 0);
         let mut trees2 = vec![p1.generalize_seed(b"<a>hi</a>")];

@@ -130,7 +130,7 @@ pub enum SynthEvent {
         /// [`SynthesisStats::probes_elided`](crate::SynthesisStats::probes_elided)).
         elided: usize,
         /// Terminals whose byte classes were adopted from the memo table
-        /// or an identical in-run sibling (this run; see
+        /// (this run; see
         /// [`SynthesisStats::memo_hits`](crate::SynthesisStats::memo_hits)).
         memo_hits: usize,
     },

@@ -40,7 +40,7 @@
 //!   so repeated runs against the same target stop re-paying oracle calls.
 //! * **Query-frugal** — a query-reduction layer (on by default, see
 //!   [`GladeBuilder::memoize_byte_classes`]) memoizes learned byte
-//!   classes across identical terminals, short-circuits per-context
+//!   classes across runs, short-circuits per-context
 //!   probes, dedups byte-identical checks within a batch, and prunes
 //!   provably-redundant merge checks — every elision is exact, so the
 //!   grammar is byte-identical with the layer on or off
@@ -85,26 +85,14 @@
 //! # Ok::<(), glade_core::SynthesisError>(())
 //! ```
 //!
-//! # Migrating from `Glade::synthesize`
-//!
-//! The original blocking entry point remains as a deprecated wrapper with
-//! identical behavior. The translations are mechanical:
-//!
-//! | Old | New |
-//! |---|---|
-//! | `Glade::new().synthesize(seeds, &o)` | `GladeBuilder::new().synthesize(seeds, &o)` |
-//! | `GladeConfig { max_queries: Some(n), .. }` + `Glade::with_config` | `GladeBuilder::new().max_queries(n)` |
-//! | `Glade::with_config(existing_config)` | `GladeBuilder::from_config(existing_config)` |
-//! | repeated `synthesize` on growing seed sets | one [`Session`], repeated [`Session::add_seeds`] |
-//!
 //! # Oracle thread-safety contract
 //!
 //! Membership queries dominate GLADE's cost, so the query layer is built
 //! for concurrency: phase two's pairwise merge checks and character
 //! generalization's byte probes are aggregated into one batch and fanned
 //! out across a scoped worker pool with work-stealing dispatch, and every
-//! cache on the query path is sharded and lock-striped (no
-//! `RefCell`/`Cell` anywhere on the hot path). For real process targets,
+//! cache on the query path is mutex-guarded (no `RefCell`/`Cell` anywhere
+//! on the hot path). For real process targets,
 //! [`PooledProcessOracle`] amortizes the per-query process spawn across a
 //! pool of persistent protocol-speaking workers (see
 //! [`serve_oracle_worker`]) — and oracles that multiplex whole batches
@@ -173,4 +161,4 @@ pub use persist::{
     CacheSnapshot, IntoEntries, MemoEntry, SnapshotEntries,
 };
 pub use session::{GladeBuilder, Session};
-pub use synth::{Glade, GladeConfig, Synthesis, SynthesisError, SynthesisStats};
+pub use synth::{GladeConfig, Synthesis, SynthesisError, SynthesisStats};

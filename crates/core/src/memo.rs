@@ -4,9 +4,9 @@
 //! with contexts `{(γ, δ)}` and a candidate alphabet `Σ_test`, the question
 //! "which byte classes do `α`'s positions widen to?" The answer is a pure
 //! function of `(α, contexts, Σ_test)` and the (deterministic) oracle —
-//! so identical terminals in identical contexts, which are rampant in
-//! structured formats (every `"` delimiter of a url, every tag byte of an
-//! xml seed), re-derive the same classes from the same probe verdicts.
+//! so a later run that meets the same terminal in the same contexts (a
+//! warm-started campaign re-learning its seeds) would re-derive the same
+//! classes from the same probe verdicts.
 //!
 //! [`ByteClassMemo`] memoizes that function: the key is a 128-bit FNV-1a
 //! fingerprint over the length-prefixed serialization of the terminal

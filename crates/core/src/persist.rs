@@ -100,8 +100,9 @@
 //! * **Capped** bounds key-byte residency with second-chance eviction; an
 //!   evicted entry re-queried later re-pays one oracle call with an
 //!   identical verdict, so grammars and `unique_queries` are unchanged —
-//!   only oracle traffic can grow. An 8-byte-per-distinct-query ledger
-//!   remains so `unique_queries` stays exact under eviction.
+//!   only oracle traffic can grow. A ledger of one `u64` per distinct
+//!   query (in a `HashSet`) keeps `unique_queries` exact under eviction;
+//!   it is never evicted, so the cap bounds resident verdicts, not memory.
 //! * **Partial load** ([`BinaryCacheFile`] via
 //!   [`Session::attach_cache`](crate::Session::attach_cache)) keeps the
 //!   snapshot on disk entirely and faults verdicts in on demand — pair it

@@ -20,7 +20,7 @@
 //! style recursion (Definition 5.2, Proposition 5.3) that no regular
 //! expression captures.
 
-use crate::cache::{hash_query, ShardedCache};
+use crate::cache::{hash_query, QueryCache};
 use crate::events::{SynthEvent, SynthesisObserver};
 use crate::runner::{CheckSpec, QueryRunner};
 use crate::tree::{Node, StarNode, UnionFind};
@@ -214,7 +214,7 @@ impl<'t> StagedMerge<'t> {
     /// session cache as far as possible, then poses at most one check.
     /// Returns the number of checks appended; zero means every pair is
     /// resolved.
-    pub fn plan_wave(&mut self, checks: &mut Vec<CheckSpec<'t>>, cache: &ShardedCache) -> usize {
+    pub fn plan_wave(&mut self, checks: &mut Vec<CheckSpec<'t>>, cache: &QueryCache) -> usize {
         debug_assert!(self.slots.is_empty(), "previous wave not folded");
         let start = checks.len();
         let mut dedup: HashMap<u64, Vec<usize>> = HashMap::new();
@@ -338,7 +338,7 @@ pub(crate) fn merge_stars(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::ShardedCache;
+    use crate::cache::QueryCache;
     use crate::phase1::Phase1;
     use crate::runner::RunnerOptions;
     use crate::testing::{xml_like, xml_like_with_self_closing};
@@ -346,7 +346,7 @@ mod tests {
     use crate::FnOracle;
     use glade_grammar::Earley;
 
-    fn runner<'s>(oracle: &'s dyn crate::Oracle, cache: &'s ShardedCache) -> QueryRunner<'s> {
+    fn runner<'s>(oracle: &'s dyn crate::Oracle, cache: &'s QueryCache) -> QueryRunner<'s> {
         QueryRunner::new(oracle, cache, RunnerOptions { workers: 2, ..RunnerOptions::default() })
     }
 
@@ -355,7 +355,7 @@ mod tests {
         // Figure 2 steps C1–C2: the two stars of (<a>(h+i)*</a>)* merge,
         // yielding the recursive grammar A → (<a>A</a>)* , A → (h+i)*.
         let oracle = FnOracle::new(xml_like);
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let tree = p1.generalize_seed(b"<a>hi</a>");
@@ -388,7 +388,7 @@ mod tests {
             let split = i.iter().position(|&b| b == b'y').unwrap_or(i.len());
             i[..split].iter().all(|&b| b == b'x') && i[split..].iter().all(|&b| b == b'y')
         });
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let tree = p1.generalize_seed(b"xy");
@@ -408,7 +408,7 @@ mod tests {
             let Some(x) = i.iter().position(|&b| b == b'x') else { return false };
             i[..x].iter().all(|&b| b == b'a') && i[x + 1..].iter().all(|&b| b == b'b')
         });
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let tree = p1.generalize_seed(b"axb");
@@ -430,7 +430,7 @@ mod tests {
         // <a><a/></a> yields a suboptimal (but still valid) grammar whose
         // stars cannot merge, because the check ><a/ is invalid.
         let oracle = FnOracle::new(xml_like_with_self_closing);
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let tree = p1.generalize_seed(b"<a><a/></a>");
@@ -450,7 +450,7 @@ mod tests {
     fn section7_recovery_with_two_seeds() {
         // Section 7 continued: seeds {<a/>, <a>hi</a>} recover the target.
         let oracle = FnOracle::new(xml_like_with_self_closing);
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let t1 = p1.generalize_seed(b"<a/>");
@@ -471,7 +471,7 @@ mod tests {
         trees: &[Node],
         num_stars: usize,
         runner: &QueryRunner<'_>,
-        cache: &ShardedCache,
+        cache: &QueryCache,
     ) -> MergeOutcome {
         let mut staged = StagedMerge::new(trees, num_stars);
         loop {
@@ -490,7 +490,7 @@ mod tests {
         // The staged planner must reproduce the one-shot plan's accept set
         // (and union order) exactly on the running example.
         let oracle = FnOracle::new(xml_like);
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let trees = vec![p1.generalize_seed(b"<a>hi</a>")];
@@ -512,7 +512,7 @@ mod tests {
         // byte-identical originals; their cross-checks are the accepted
         // creation checks, so the staged run unions them structurally.
         let oracle = FnOracle::new(xml_like);
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let t1 = p1.generalize_seed(b"<a>hi</a>");
@@ -547,7 +547,7 @@ mod tests {
             let Some(x) = i.iter().position(|&b| b == b'x') else { return false };
             i[..x].iter().all(|&b| b == b'a') && i[x + 1..].iter().all(|&b| b == b'b')
         });
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let runner = runner(&oracle, &cache);
         let mut p1 = Phase1::new(&runner, 0);
         let trees = vec![p1.generalize_seed(b"axb")];

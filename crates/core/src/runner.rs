@@ -6,7 +6,7 @@
 //! runs the program under test). This module is therefore built for
 //! concurrency end to end:
 //!
-//! * the query cache is a mutex-striped [`ShardedCache`] owned by the
+//! * the query cache is a single mutex-guarded [`QueryCache`] owned by the
 //!   [`Session`](crate::Session) — it outlives any single run, so
 //!   incremental `add_seeds` calls and warm-started runs (see
 //!   `persist.rs`) answer repeated checks without re-paying oracle calls —
@@ -52,7 +52,7 @@
 //! speed, so degraded runs are reproducible only in their guarantees
 //! (fail-closed, seeds preserved), not byte-for-byte.
 
-use crate::cache::{hash_query, ShardedCache};
+use crate::cache::{hash_query, QueryCache};
 use crate::events::{CancelToken, SynthEvent, SynthesisObserver};
 use crate::persist::BinaryCacheFile;
 use crate::tree::Context;
@@ -126,7 +126,7 @@ impl<'a> CheckSpec<'a> {
 ///
 /// Opened by [`Session::attach_cache`](crate::Session::attach_cache): the
 /// snapshot's index stays on disk and entries are faulted into the
-/// in-memory [`ShardedCache`] the first time a run revisits them.
+/// in-memory [`QueryCache`] the first time a run revisits them.
 /// `faulted` counts the *distinct* backing entries materialized so far, so
 /// `unique_queries` accounting stays exact: distinct queries known to the
 /// session = `cache.len() + (file.len() - faulted)` — every backing entry
@@ -194,7 +194,7 @@ impl Default for RunnerOptions<'_> {
 pub(crate) struct QueryRunner<'s> {
     oracle: &'s dyn Oracle,
     /// Session-owned cache; shared across the runs of one session.
-    cache: &'s ShardedCache,
+    cache: &'s QueryCache,
     /// Partially loaded snapshot consulted on cache misses (see
     /// [`BackingStore`]).
     backing: Option<&'s Mutex<BackingStore>>,
@@ -231,7 +231,7 @@ pub(crate) struct QueryRunner<'s> {
 }
 
 impl<'s> QueryRunner<'s> {
-    pub fn new(oracle: &'s dyn Oracle, cache: &'s ShardedCache, opts: RunnerOptions<'s>) -> Self {
+    pub fn new(oracle: &'s dyn Oracle, cache: &'s QueryCache, opts: RunnerOptions<'s>) -> Self {
         let failures_at_start = oracle.failure_count();
         let timeouts_at_start = oracle.timed_out_count();
         let trips_at_start = oracle.tripped_worker_count();
@@ -377,8 +377,8 @@ impl<'s> QueryRunner<'s> {
     }
 
     /// Consults the partially loaded backing snapshot for a cache miss.
-    /// Hits are faulted into the in-memory cache (so later lookups answer
-    /// lock-free) and charged to the store's `faulted` ledger exactly once
+    /// Hits are faulted into the in-memory cache (so later lookups skip
+    /// the on-disk index) and charged to the store's `faulted` ledger exactly once
     /// per distinct entry — a re-fault after eviction is answered but not
     /// re-counted. I/O errors on a damaged file degrade to a miss: the
     /// oracle re-answers, trading queries for availability.
@@ -655,7 +655,7 @@ mod tests {
 
     fn runner<'s>(
         oracle: &'s dyn Oracle,
-        cache: &'s ShardedCache,
+        cache: &'s QueryCache,
         max_queries: Option<usize>,
         time_limit: Option<Duration>,
         workers: usize,
@@ -670,7 +670,7 @@ mod tests {
     #[test]
     fn caches_and_counts() {
         let o = FnOracle::new(|i: &[u8]| i.len() < 2);
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let r = runner(&o, &cache, None, None, 1);
         assert!(r.accepts(b"a"));
         assert!(r.accepts(b"a"));
@@ -683,7 +683,7 @@ mod tests {
     #[test]
     fn budget_exhaustion_fails_closed() {
         let o = FnOracle::new(|_: &[u8]| true);
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let r = runner(&o, &cache, Some(2), None, 1);
         assert!(r.accepts(b"1"));
         assert!(r.accepts(b"2"));
@@ -702,7 +702,7 @@ mod tests {
         // the *cache size*, so seed validation (unbudgeted) silently ate
         // distinct-query budget.
         let o = FnOracle::new(|_: &[u8]| true);
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let r = runner(&o, &cache, Some(2), None, 1);
         assert!(r.accepts_unbudgeted(b"seed-1"));
         assert!(r.accepts_unbudgeted(b"seed-2"));
@@ -718,7 +718,7 @@ mod tests {
     #[test]
     fn time_limit_expires() {
         let o = FnOracle::new(|_: &[u8]| true);
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let r = runner(&o, &cache, None, Some(Duration::from_nanos(1)), 1);
         std::thread::sleep(Duration::from_millis(2));
         assert!(!r.accepts(b"x"));
@@ -733,7 +733,7 @@ mod tests {
             calls.fetch_add(1, Ordering::Relaxed);
             true
         });
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let token = CancelToken::new();
         let log = EventLog::new();
         let r = QueryRunner::new(
@@ -770,7 +770,7 @@ mod tests {
             }
             true
         });
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let r = QueryRunner::new(
             &o,
             &cache,
@@ -793,7 +793,7 @@ mod tests {
         });
         for workers in [1, 4] {
             calls.store(0, Ordering::Relaxed);
-            let cache = ShardedCache::new();
+            let cache = QueryCache::new();
             let r = runner(&o, &cache, None, None, workers);
             let checks =
                 [spec(b"aa"), spec(b"b"), spec(b"aa"), spec(b"cccc"), spec(b"b"), spec(b"")];
@@ -808,7 +808,7 @@ mod tests {
     #[test]
     fn batch_emits_query_batch_event() {
         let o = FnOracle::new(|i: &[u8]| i.len().is_multiple_of(2));
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         cache.insert(b"hit".to_vec(), false);
         let log = EventLog::new();
         let r = QueryRunner::new(
@@ -824,7 +824,7 @@ mod tests {
     #[test]
     fn batch_mixed_segments_concatenate() {
         let o = FnOracle::new(|i: &[u8]| i == b"<a>hi</a>");
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let r = runner(&o, &cache, None, None, 2);
         let (pre, mid, post) = (&b"<a>"[..], &b"hi"[..], &b"</a>"[..]);
         let checks = [CheckSpec::new(&[pre, mid, post]), CheckSpec::new(&[pre, post])];
@@ -838,7 +838,7 @@ mod tests {
     #[test]
     fn batch_budget_answers_false_beyond_limit() {
         let o = FnOracle::new(|_: &[u8]| true);
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let log = EventLog::new();
         let r = QueryRunner::new(
             &o,
@@ -873,7 +873,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
             true
         });
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let r = runner(&o, &cache, None, Some(Duration::from_millis(30)), 1);
         let inputs: Vec<Vec<u8>> = (0..10u8).map(|b| vec![b]).collect();
         let specs: Vec<CheckSpec<'_>> = inputs.iter().map(|i| spec(i)).collect();
@@ -888,8 +888,8 @@ mod tests {
     #[test]
     fn batch_agrees_with_sequential_accepts() {
         let o = FnOracle::new(|i: &[u8]| i.iter().all(|&b| b == b'x'));
-        let seq_cache = ShardedCache::new();
-        let par_cache = ShardedCache::new();
+        let seq_cache = QueryCache::new();
+        let par_cache = QueryCache::new();
         let seq = runner(&o, &seq_cache, None, None, 1);
         let par = runner(&o, &par_cache, None, None, 8);
         let inputs: Vec<Vec<u8>> =
@@ -911,7 +911,7 @@ mod tests {
             calls.fetch_add(1, Ordering::Relaxed);
             true
         });
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         cache.insert(b"p".to_vec(), true);
         cache.insert(b"q".to_vec(), false);
         let r = runner(&o, &cache, Some(0), None, 2);
@@ -966,7 +966,7 @@ mod tests {
     #[test]
     fn native_batching_oracle_receives_whole_miss_sets() {
         let o = BatchingOracle::new();
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         cache.insert(b"zz".to_vec(), true); // a hit that must not be posed
         let r = runner(&o, &cache, None, None, 8);
         let inputs: Vec<Vec<u8>> = (0..40u8).map(|b| vec![b'x'; b as usize % 5]).collect();
@@ -991,8 +991,8 @@ mod tests {
         // verdicts and the same cached set.
         let native = BatchingOracle::new();
         let plain = FnOracle::new(|i: &[u8]| i.len().is_multiple_of(2));
-        let native_cache = ShardedCache::new();
-        let plain_cache = ShardedCache::new();
+        let native_cache = QueryCache::new();
+        let plain_cache = QueryCache::new();
         let rn = runner(&native, &native_cache, None, None, 4);
         let rp = runner(&plain, &plain_cache, None, None, 4);
         let inputs: Vec<Vec<u8>> = (0..64u16).map(|b| vec![b'y'; (b % 9) as usize]).collect();
@@ -1024,7 +1024,7 @@ mod tests {
         }
         let token = CancelToken::new();
         let o = CancellingOracle { token: token.clone() };
-        let cache = ShardedCache::new();
+        let cache = QueryCache::new();
         let r = QueryRunner::new(
             &o,
             &cache,

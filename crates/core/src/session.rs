@@ -1,9 +1,8 @@
 //! The session-based synthesis API: observable, cancellable, incremental
 //! runs over one long-lived membership-query cache.
 //!
-//! [`Glade::synthesize`](crate::Glade::synthesize) modelled synthesis as a
-//! single blocking call; production use wants more control. A [`Session`]
-//! ties one oracle to one persistent query cache and supports:
+//! A [`Session`] ties one oracle to one persistent query cache and
+//! supports:
 //!
 //! * **Incremental synthesis** — [`Session::add_seeds`] extends the
 //!   current grammar with new seeds without re-deriving the trees of
@@ -35,7 +34,7 @@
 //! # Ok::<(), glade_core::SynthesisError>(())
 //! ```
 
-use crate::cache::ShardedCache;
+use crate::cache::QueryCache;
 use crate::chargen::{apply_char_probes, apply_staged_classes, plan_char_probes, StagedChargen};
 use crate::events::{CancelToken, SynthEvent, SynthPhase, SynthesisObserver};
 use crate::memo::ByteClassMemo;
@@ -47,7 +46,7 @@ use crate::persist::{
 use crate::phase1::Phase1;
 use crate::phase2::{apply_merge_verdicts, plan_merge_checks, StagedMerge};
 use crate::runner::{BackingStore, CheckSpec, QueryRunner, RunnerOptions};
-use crate::synth::{Glade, GladeConfig, Synthesis, SynthesisError, SynthesisStats};
+use crate::synth::{GladeConfig, Synthesis, SynthesisError, SynthesisStats};
 use crate::tree::{trees_to_grammar, Node, UnionFind};
 use crate::Oracle;
 use glade_grammar::Regex;
@@ -245,14 +244,16 @@ impl GladeBuilder {
         self
     }
 
-    /// Caps the session cache's *resident* entries at roughly `limit`,
-    /// evicting with a second-chance sweep once a shard fills (see the
-    /// `persist.rs` ops note for sizing guidance). For long-lived serve
-    /// campaigns whose cache would otherwise grow without bound: eviction
-    /// may make the session re-pay an oracle query it once knew, but the
-    /// oracle is deterministic, so verdicts — and grammar bytes — never
-    /// change, and `unique_queries` accounting stays exact (distinct keys
-    /// are counted by a ledger that survives eviction). Unbounded by
+    /// Caps the session cache's *resident* entries at exactly `limit`
+    /// (a `limit` of 0 acts as 1), evicting with a second-chance sweep
+    /// once the cache is full (see the `persist.rs` ops note for sizing
+    /// guidance). For long-lived serve campaigns whose cache would
+    /// otherwise grow without bound: eviction may make the session re-pay
+    /// an oracle query it once knew, but the oracle is deterministic, so
+    /// verdicts — and grammar bytes — never change, and `unique_queries`
+    /// accounting stays exact. That accounting is a ledger of one `u64`
+    /// per distinct query, kept in a `HashSet` that eviction never
+    /// shrinks: the cap bounds resident verdicts, not memory. Unbounded by
     /// default.
     pub fn max_cache_entries(mut self, limit: usize) -> Self {
         self.max_cache_entries = Some(limit);
@@ -273,7 +274,7 @@ impl GladeBuilder {
             observer: self.observer,
             cancel: self.cancel.unwrap_or_default(),
             fingerprint: self.fingerprint,
-            cache: ShardedCache::with_max_entries(self.max_cache_entries),
+            cache: QueryCache::with_max_entries(self.max_cache_entries),
             backing: None,
             memo: Mutex::new(ByteClassMemo::new()),
             trees: Vec::new(),
@@ -305,12 +306,6 @@ impl GladeBuilder {
     }
 }
 
-impl From<Glade> for GladeBuilder {
-    fn from(glade: Glade) -> Self {
-        GladeBuilder::from_config(glade.config().clone())
-    }
-}
-
 /// A long-lived synthesis session: one oracle, one persistent query cache,
 /// and the accumulated per-seed generalization state.
 ///
@@ -339,7 +334,7 @@ pub struct Session<'o> {
     /// Declared oracle identity for snapshot tagging/validation.
     fingerprint: Option<String>,
     /// Session-lifetime membership-query cache (snapshot-able).
-    cache: ShardedCache,
+    cache: QueryCache,
     /// Partially loaded binary snapshot attached by
     /// [`Session::attach_cache`]: a read-only second cache level whose
     /// entries fault into `cache` on first use.
@@ -419,10 +414,11 @@ impl<'o> Session<'o> {
         self.cache.evictions()
     }
 
-    /// Cache lookups answered "absent" by the negative filter alone,
-    /// without taking a shard lock — the hot-miss fast path.
+    /// Always 0. The cache no longer has a negative-lookup filter; this
+    /// accessor remains only for callers that still report the old
+    /// counter.
     pub fn cache_filter_negatives(&self) -> usize {
-        self.cache.filter_negatives()
+        0
     }
 
     /// Extends the synthesis with `seeds` and returns the full result over
@@ -1287,13 +1283,6 @@ mod tests {
         assert!(v1.starts_with("glade-cache v1\n"));
         let fresh = GladeBuilder::new().session(&oracle);
         assert_eq!(fresh.import_cache(&v1).unwrap(), legacy_first.stats.unique_queries);
-    }
-
-    #[test]
-    fn builder_from_glade_carries_config() {
-        let glade = Glade::with_config(GladeConfig::phase1_only());
-        let builder = GladeBuilder::from(glade);
-        assert!(!builder.config().phase2);
     }
 
     fn temp_path(name: &str) -> std::path::PathBuf {
