@@ -42,15 +42,14 @@
 //!    query `ProcessOracle` versus `PooledProcessOracle` cold (pool spawn
 //!    included) and warm. Asserts pooled execution sustains ≥ 5× the
 //!    spawn-per-query queries/sec.
-//! 7. **`batched_frames`** — the v2 batched wire protocol against v1
-//!    per-query framing, both through the pool's event-driven batch
-//!    dispatcher on small payloads with near-zero verdict compute
-//!    (`--tiny-worker`), so the measurement isolates the per-query
-//!    syscall/scheduling round-trip the batching exists to amortize. The
-//!    v1 side runs against a genuine v1-only self-exec worker
-//!    (`glade_core::serve_oracle_worker_v1`), so version negotiation
-//!    itself is exercised. Asserts batched frames sustain ≥ 1.5× the v1
-//!    per-query queries/sec.
+//! 7. **`batched_frames`** — batched wire frames (`frame_batch(32)`, the
+//!    default) against one query per frame (`frame_batch(1)`: one pipe
+//!    round-trip per query), both through the pool's event-driven batch
+//!    dispatcher on small payloads against the same near-zero-compute
+//!    worker (`--tiny-worker`), so the measurement isolates the per-query
+//!    syscall/scheduling round-trip the batching exists to amortize.
+//!    Asserts batched frames sustain ≥ 1.5× the single-query-frame
+//!    queries/sec.
 //! 8. **`fault_recovery`** — throughput and query accounting under
 //!    injected faults, against a clean pool run under the same query
 //!    deadline. Three cells over the same workload: a clean pool (asserts
@@ -85,9 +84,9 @@
 //! `GLADE_BENCH_CACHE_N`.
 
 use glade_core::{
-    serve_faulty_worker, serve_oracle_worker, serve_oracle_worker_v1, snapshot_from_binary_reader,
-    snapshot_from_reader, snapshot_to_binary, snapshot_to_text_with_memo, BinaryCacheFile,
-    FaultPlan, FnOracle, GladeBuilder, Oracle, PooledProcessOracle, ProcessOracle, SynthesisStats,
+    serve_faulty_worker, serve_oracle_worker, snapshot_from_binary_reader, snapshot_from_reader,
+    snapshot_to_binary, snapshot_to_text_with_memo, BinaryCacheFile, FaultPlan, FnOracle,
+    GladeBuilder, Oracle, PooledProcessOracle, ProcessOracle, SynthesisStats,
 };
 use glade_eval::sample_seeds;
 use glade_grammar::grammar_to_text;
@@ -311,17 +310,9 @@ fn main() {
     // external worker binary to be built or located.
     match std::env::args().nth(1).as_deref() {
         Some("--oracle-worker") => {
-            // Persistent protocol worker for PooledProcessOracle
-            // (negotiates v2 batched frames).
+            // Persistent protocol worker for PooledProcessOracle.
             let oracle = toy_xml().oracle();
             serve_oracle_worker(|input| oracle.accepts(input)).expect("worker protocol");
-            return;
-        }
-        Some("--oracle-worker-v1") => {
-            // v1-pinned worker: never upgrades, so the oracle speaks
-            // legacy one-query-per-round-trip frames against it.
-            let oracle = toy_xml().oracle();
-            serve_oracle_worker_v1(|input| oracle.accepts(input)).expect("worker protocol");
             return;
         }
         Some("--tiny-worker") => {
@@ -329,10 +320,6 @@ fn main() {
             // with the target compute stripped out, what remains is the
             // wire protocol's own per-query cost.
             serve_oracle_worker(tiny_accepts).expect("worker protocol");
-            return;
-        }
-        Some("--tiny-worker-v1") => {
-            serve_oracle_worker_v1(tiny_accepts).expect("worker protocol");
             return;
         }
         Some("--crashy-worker") => {
@@ -738,21 +725,22 @@ fn main() {
     j.int("oracle_failures", pooled_oracle.failure_count());
     j.close_obj();
 
-    // ---- Experiment 7: v2 batched frames vs. v1 per-query frames. ----
-    // Same event-driven dispatcher, same small-payload workload, two wire
-    // versions: v1 pays a write+read round-trip (and two scheduler hops)
-    // per query, v2 amortizes them over a whole frame. The workers answer
-    // near-zero-cost verdicts (`tiny_accepts`) so the wire overhead is
-    // what is measured; the v1 worker is a genuine v1-only server, so the
-    // measurement includes real version negotiation falling back.
+    // ---- Experiment 7: batched frames vs. single-query frames. ----
+    // Same event-driven dispatcher, same worker, same small-payload
+    // workload, two frame sizes: `frame_batch(1)` pays a write+read
+    // round-trip (and two scheduler hops) per query, the default batch
+    // amortizes them over a whole frame. The worker answers near-zero-cost
+    // verdicts (`tiny_accepts`) so the wire overhead is what is measured.
     let frame_queries = env_usize("GLADE_BENCH_FRAME_QUERIES", 4096);
     let frame_pool = 4usize;
+    let batched_frame = 32usize;
     let mut frame_results: Vec<(String, f64)> = Vec::new();
-    for (mode, worker_flag) in
-        [("v1_per_query", "--tiny-worker-v1"), ("v2_batched", "--tiny-worker")]
-    {
-        let oracle = PooledProcessOracle::new(&self_exe).arg(worker_flag).pool_size(frame_pool);
-        // Warm the whole pool (spawns + negotiation) outside the timed
+    for (mode, frame_batch) in [("single_query_frames", 1usize), ("batched", batched_frame)] {
+        let oracle = PooledProcessOracle::new(&self_exe)
+            .arg("--tiny-worker")
+            .pool_size(frame_pool)
+            .frame_batch(frame_batch);
+        // Warm the whole pool (spawns + hellos) outside the timed
         // window: enough queries that the dispatcher wants every worker.
         let warmup = process_workload(frame_pool * 64, 30_000);
         let warmup_refs: Vec<&[u8]> = warmup.iter().map(Vec::as_slice).collect();
@@ -776,23 +764,26 @@ fn main() {
         );
         frame_results.push((mode.to_owned(), qps));
     }
-    let v1_qps = frame_results[0].1;
-    let v2_qps = frame_results[1].1;
-    let frame_speedup = v2_qps / v1_qps.max(1e-9);
-    eprintln!("[bench-queries] batched_frames: v2 is x{frame_speedup:.2} vs v1 per-query frames");
+    let single_qps = frame_results[0].1;
+    let batched_qps = frame_results[1].1;
+    let frame_speedup = batched_qps / single_qps.max(1e-9);
+    eprintln!(
+        "[bench-queries] batched_frames: batched is x{frame_speedup:.2} vs single-query frames"
+    );
     assert!(
         frame_speedup >= 1.5,
-        "v2 batched frames must sustain >= 1.5x v1 per-query framing on small payloads \
-         (v1 {v1_qps:.0} q/s, v2 {v2_qps:.0} q/s)"
+        "batched frames must sustain >= 1.5x single-query frames on small payloads \
+         (single {single_qps:.0} q/s, batched {batched_qps:.0} q/s)"
     );
     j.open_obj(Some("batched_frames"));
     j.string("target", "self (near-zero-cost verdicts; measures wire overhead)");
     j.int("pool_workers", frame_pool);
     j.int("queries", frame_queries);
-    j.num("v1_per_query_queries_per_sec", v1_qps);
-    j.num("v2_batched_queries_per_sec", v2_qps);
-    j.num("v2_speedup_vs_v1", frame_speedup);
-    j.boolean("v2_beats_v1_by_1_5x", frame_speedup >= 1.5);
+    j.int("batched_frame_batch", batched_frame);
+    j.num("single_query_frames_queries_per_sec", single_qps);
+    j.num("batched_queries_per_sec", batched_qps);
+    j.num("batched_speedup_vs_single", frame_speedup);
+    j.boolean("batched_beats_single_by_1_5x", frame_speedup >= 1.5);
     j.close_obj();
 
     // ---- Experiment 8: fault recovery — throughput under injected

@@ -120,7 +120,7 @@
 //! The query-reduction layer preserves this: staged waves are planned from
 //! the (deterministically evolving) cache and memo state alone, so which
 //! checks are elided — and the resulting grammar — is identical across
-//! worker counts, pool sizes, and wire versions.
+//! worker counts, pool sizes, and frame batch sizes.
 //! With a `time_limit` (or a [`CancelToken`] trip), which queries beat the
 //! cutoff depends on wall-clock speed — and therefore on the machine and
 //! the worker count — so degraded runs keep the safety guarantees
@@ -147,12 +147,10 @@ mod tree;
 pub mod wire;
 
 pub use events::{CancelToken, EventLog, SynthEvent, SynthPhase, SynthesisObserver};
-pub use fault::{
-    flaky_spawn_should_die, serve_faulty_worker, serve_faulty_worker_v1, FaultPlan, FaultyOracle,
-};
+pub use fault::{flaky_spawn_should_die, serve_faulty_worker, FaultPlan, FaultyOracle};
 pub use oracle::{
-    serve_oracle_worker, serve_oracle_worker_v1, CachingOracle, FnOracle, InputMode, Oracle,
-    PooledProcessOracle, ProcessOracle,
+    serve_oracle_worker, CachingOracle, FnOracle, InputMode, Oracle, PooledProcessOracle,
+    ProcessOracle,
 };
 pub use persist::{
     cache_from_text, cache_to_text, is_binary_snapshot, snapshot_from_binary,

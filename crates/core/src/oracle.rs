@@ -42,23 +42,9 @@
 //! cost model ("each query to O takes constant time") assumes queries are
 //! cheap. [`PooledProcessOracle`] amortizes the spawn by keeping N
 //! long-lived workers speaking a length-prefixed verdict protocol over
-//! stdin/stdout. Two wire versions exist; which one a worker speaks is
-//! settled once, immediately after it spawns (see *Version negotiation*).
-//!
-//! **v1 — single-query frames** (the original protocol):
-//!
-//! ```text
-//! request  (oracle → worker):  u32 little-endian byte length, then the
-//!                              input bytes (arbitrary binary, may be empty)
-//! response (worker → oracle):  one byte, 0x01 = accept, 0x00 = reject
-//! ```
-//!
-//! v1 requests are posed strictly one at a time per worker: the oracle
-//! waits for the verdict byte before framing the next query.
-//!
-//! **v2 — batched frames**: one request frame carries N queries, one
-//! response carries N verdict bytes, so a batch pays two pipe round-trips
-//! instead of 2·N:
+//! stdin/stdout. One request frame carries N queries and one response
+//! carries N verdict bytes, so a batch pays two pipe round-trips instead
+//! of 2·N:
 //!
 //! ```text
 //! request  (oracle → worker):  u32 LE query count N (1 ≤ N ≤ 2^16), then
@@ -73,40 +59,32 @@
 //! prefixes exceed the caps is malformed; conforming workers treat it as a
 //! protocol error and exit nonzero, and the oracle treats the resulting
 //! crash like any other (see *Failure semantics*). The oracle may keep
-//! several v2 frames in flight per worker (a bounded window); responses
-//! arrive strictly in request order.
+//! several frames in flight per worker (a bounded window); responses
+//! arrive strictly in request order. Inputs beyond the 2^30-byte payload
+//! cap cannot be posed at all: they skip the workers and degrade to the
+//! fallback or a counted failure.
 //!
-//! **Version negotiation.** The oracle opens every freshly spawned worker
-//! with a v1 frame whose payload is the fixed probe
-//! [`wire::WIRE_V2_PROBE`](crate::wire::WIRE_V2_PROBE):
-//!
-//! * a **v2-capable** worker recognizes the payload and answers the single
-//!   byte [`wire::WIRE_V2_ACK`](crate::wire::WIRE_V2_ACK) (`0x02`); the
-//!   connection speaks v2 batch frames from then on;
-//! * a **v1** worker cannot tell the probe from a real query and answers
-//!   an ordinary verdict byte (`0x00`/`0x01`), which the oracle discards;
-//!   the connection stays on v1 single-query frames.
-//!
-//! Any other response byte is a protocol error. Because the oracle only
-//! ever probes immediately after a worker spawns, workers treat the probe
-//! payload as special on the **first frame of a connection only**; a
-//! mid-stream membership query that happens to equal it is answered like
-//! any other input. The probe does reach a v1 worker's target once per
-//! worker spawn (its verdict is discarded, never cached); targets for
-//! which even that is unacceptable can pin
-//! [`PooledProcessOracle::max_wire_version`]`(1)`, which skips the probe
-//! and reproduces the v1-only oracle framing byte for byte.
+//! **The hello.** Before any query, the oracle sends every freshly spawned
+//! worker the fixed frame [`wire::HELLO`](crate::wire::HELLO) and waits for
+//! the single byte [`wire::HELLO_ACK`](crate::wire::HELLO_ACK) (`0x02`).
+//! Any other answer — including a verdict byte `0x00`/`0x01` from a legacy
+//! single-query worker that took the hello for a membership query — makes
+//! the worker dead on arrival: its spawn counts as a failed spawn (a
+//! breaker strike, then the fallback or a counted failure), so a worker
+//! that would read batch frames as something else never yields a verdict.
+//! Workers expect the hello as their first frame only and exit nonzero
+//! when the first frame is anything else; a later membership query whose
+//! bytes equal the hello payload is answered like any other input.
 //!
 //! **Batched dispatch.** On Unix hosts the pool implements
 //! [`Oracle::accepts_batch_checked`] with an event-driven dispatcher: the
 //! calling thread puts every checked-out worker's pipes into nonblocking
 //! mode and multiplexes them with `poll(2)` readiness, keeping each worker
-//! saturated with a bounded in-flight window (whole batch frames for v2
-//! workers, strict request–response for v1 workers) — no helper threads,
-//! no async runtime, no engine thread parked per in-flight query. The
-//! engine routes whole miss sets here (see
-//! [`Oracle::native_batching`]); single queries still use the blocking
-//! per-query path.
+//! saturated with a bounded in-flight window of whole batch frames — no
+//! helper threads, no async runtime, no engine thread parked per in-flight
+//! query. The engine routes whole miss sets here (see
+//! [`Oracle::native_batching`]); single queries use the blocking per-query
+//! path, which poses each query as a one-query frame.
 //!
 //! **Failure semantics.** A clean EOF on the worker's stdin (between
 //! frames) tells it to exit. Any other deviation — the worker dying, a
@@ -184,10 +162,8 @@
 //! Any `fn(&[u8]) -> bool` target becomes a protocol-speaking worker with
 //! [`serve_oracle_worker`] — call it from a binary's `main` (the
 //! `glade-oracle-worker` binary in `glade-targets` does exactly this for
-//! the built-in evaluation targets). `serve_oracle_worker` answers the
-//! negotiation probe, so its workers speak v2 automatically;
-//! [`serve_oracle_worker_v1`] pins the legacy single-query protocol for
-//! compatibility testing.
+//! the built-in evaluation targets); it answers the hello and then serves
+//! batch frames until the pool closes its stdin.
 //!
 //! # Oracle execution failures
 //!
@@ -223,7 +199,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Default queries per v2 batch frame (see
+/// Default queries per batch frame (see
 /// [`PooledProcessOracle::frame_batch`]).
 const DEFAULT_FRAME_BATCH: usize = 32;
 
@@ -988,11 +964,10 @@ impl Oracle for ProcessOracle {
 ///
 /// This is the reusable wrapper that turns any `fn(&[u8]) -> bool` target
 /// into a [`PooledProcessOracle`] worker: call it from a binary's `main`
-/// and point the oracle at that binary. The loop starts in v1 single-query
-/// mode, upgrades to v2 batched frames when the oracle's negotiation probe
-/// arrives (see the module docs for both wire formats), answers verdicts
-/// accordingly, and returns `Ok(())` on a clean EOF between frames — which
-/// is how the pool shuts workers down.
+/// and point the oracle at that binary. The loop acknowledges the oracle's
+/// hello, answers batch frames (see the module docs for the wire format),
+/// and returns `Ok(())` on a clean EOF between frames — which is how the
+/// pool shuts workers down.
 ///
 /// Anything the target prints to stdout would corrupt the protocol, so
 /// route target diagnostics to stderr.
@@ -1000,39 +975,20 @@ impl Oracle for ProcessOracle {
 /// # Errors
 ///
 /// Returns the first I/O error encountered on the protocol streams (a
-/// truncated request, a malformed batch frame, a closed pipe
-/// mid-response). Binaries typically exit nonzero on `Err`, which the pool
-/// observes as a worker crash — this is the fail-closed half of the
-/// protocol's failure semantics.
+/// first frame that is not the hello, a truncated request, a malformed
+/// batch frame, a closed pipe mid-response). Binaries typically exit
+/// nonzero on `Err`, which the pool observes as a worker crash — this is
+/// the fail-closed half of the protocol's failure semantics.
 pub fn serve_oracle_worker<F: FnMut(&[u8]) -> bool>(mut f: F) -> std::io::Result<()> {
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     let mut input = BufReader::new(stdin.lock());
     let mut output = stdout.lock();
-    let mut buf = Vec::new();
-    // v1 loop, watching for the upgrade probe. The oracle only ever
-    // probes immediately after spawning a worker, so the probe payload is
-    // special on the FIRST frame only — a later membership query that
-    // happens to equal it is answered like any other input (a v1-capped
-    // oracle mid-stream must never trip an accidental upgrade).
-    let mut first_frame = true;
-    loop {
-        let Some(len) = read_frame_prefix(&mut input)? else { return Ok(()) };
-        buf.clear();
-        buf.resize(len as usize, 0);
-        input.read_exact(&mut buf)?;
-        if first_frame && buf == wire::WIRE_V2_PROBE {
-            output.write_all(&[wire::WIRE_V2_ACK])?;
-            output.flush()?;
-            break;
-        }
-        first_frame = false;
-        let verdict = f(&buf);
-        output.write_all(&[u8::from(verdict)])?;
-        output.flush()?;
+    if !accept_hello(&mut input, &mut output)? {
+        return Ok(());
     }
-    // v2 loop: one batch frame in, one run of verdict bytes out. Verdicts
-    // are buffered and written once per frame — that is the whole point of
+    // One batch frame in, one run of verdict bytes out. Verdicts are
+    // buffered and written once per frame — that is the whole point of
     // batching (two syscalls per frame, not per query).
     let mut verdicts = Vec::new();
     loop {
@@ -1045,36 +1001,39 @@ pub fn serve_oracle_worker<F: FnMut(&[u8]) -> bool>(mut f: F) -> std::io::Result
     }
 }
 
-/// Like [`serve_oracle_worker`], but pinned to the legacy v1 single-query
-/// protocol: the worker never answers the negotiation probe (it is treated
-/// as an ordinary query) and never speaks batched frames.
+/// The worker half of the hello: reads the connection's first frame and
+/// answers [`wire::HELLO_ACK`] when it is [`wire::HELLO`]. Returns
+/// `Ok(false)` on a clean EOF before any byte (the pool closed the worker
+/// without using it).
 ///
-/// Exists for wire-compatibility pinning — the test suites and benchmarks
-/// use it to prove that a v2 oracle degrades cleanly to v1 framing against
-/// an old worker — and for targets whose input language could collide with
-/// the probe payload.
-///
-/// # Errors
-///
-/// As [`serve_oracle_worker`].
-pub fn serve_oracle_worker_v1<F: FnMut(&[u8]) -> bool>(mut f: F) -> std::io::Result<()> {
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut input = BufReader::new(stdin.lock());
-    let mut output = stdout.lock();
-    let mut buf = Vec::new();
-    loop {
-        let Some(len) = read_frame_prefix(&mut input)? else { return Ok(()) };
-        buf.clear();
-        buf.resize(len as usize, 0);
-        input.read_exact(&mut buf)?;
-        let verdict = f(&buf);
-        output.write_all(&[u8::from(verdict)])?;
-        output.flush()?;
+/// A first frame that is anything else is an
+/// [`InvalidData`](std::io::ErrorKind::InvalidData) error, raised as soon
+/// as its length prefix differs — so an oracle that opens with a short
+/// frame and waits for an answer is not left hanging.
+pub(crate) fn accept_hello(
+    input: &mut impl std::io::Read,
+    output: &mut impl std::io::Write,
+) -> std::io::Result<bool> {
+    let Some(prefix) = read_frame_prefix(input)? else { return Ok(false) };
+    let mut frame = [0u8; wire::HELLO.len()];
+    frame[..4].copy_from_slice(&prefix.to_le_bytes());
+    // Only a hello-length frame is read further: a shorter first frame
+    // would leave this read blocked on bytes that never come.
+    if frame[..4] == wire::HELLO[..4] {
+        input.read_exact(&mut frame[4..])?;
     }
+    if frame != *wire::HELLO {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "the first frame is not the pooled-oracle hello",
+        ));
+    }
+    output.write_all(&[wire::HELLO_ACK])?;
+    output.flush()?;
+    Ok(true)
 }
 
-/// Reads a frame's leading `u32` (v1 byte length / v2 query count),
+/// Reads a frame's leading `u32` (the hello's length or a query count),
 /// mapping a clean EOF *before* the prefix to `None` (the protocol's
 /// shutdown signal) and EOF *inside* it to an error.
 pub(crate) fn read_frame_prefix(input: &mut impl std::io::Read) -> std::io::Result<Option<u32>> {
@@ -1109,9 +1068,6 @@ struct PooledWorker {
     /// which is the protocol's clean-shutdown signal.
     stdin: Option<ChildStdin>,
     stdout: BufReader<ChildStdout>,
-    /// Wire version settled by negotiation at spawn time: 1 (single-query
-    /// frames) or 2 (batched frames).
-    version: u8,
     /// Pool slot this worker occupies (indexes `PoolState::slots`).
     slot: usize,
     /// Whether this worker ever answered a query. A crash *after* an
@@ -1122,38 +1078,23 @@ struct PooledWorker {
 }
 
 impl PooledWorker {
-    /// Settles the wire version right after spawn: pose the v1-framed
-    /// [`wire::WIRE_V2_PROBE`] and classify the one response byte. Any I/O
-    /// failure or illegal byte is an error — the caller treats the worker
-    /// as dead on arrival.
-    fn negotiate(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
-        let mut frame = Vec::with_capacity(4 + wire::WIRE_V2_PROBE.len());
-        wire::encode_v1_frame(wire::WIRE_V2_PROBE, &mut frame)?;
-        self.version = match self.exchange(&frame, timeout)? {
-            wire::WIRE_V2_ACK => 2,
-            // A v1 worker answered the probe as a query; the verdict is
-            // discarded (never cached — it is not a verdict about any
-            // input the engine asked about).
-            0 | 1 => 1,
-            b => {
-                return Err(std::io::Error::other(format!(
-                    "bad negotiation response byte {b:#04x}"
-                )))
-            }
-        };
-        Ok(())
+    /// Sends [`wire::HELLO`] right after spawn and demands
+    /// [`wire::HELLO_ACK`]. Any I/O failure or other byte is an error —
+    /// the caller treats the worker as dead on arrival.
+    fn hello(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
+        match self.exchange(wire::HELLO, timeout)? {
+            wire::HELLO_ACK => Ok(()),
+            b => Err(std::io::Error::other(format!("worker answered the hello with {b:#04x}"))),
+        }
     }
 
-    /// Poses one query over the worker's pipes (whichever wire version the
-    /// worker speaks). Any I/O deviation is an error — the caller treats
-    /// it as a worker crash; an [`std::io::ErrorKind::TimedOut`] error
-    /// specifically means the worker is hung.
+    /// Poses one query over the worker's pipes as a one-query frame. Any
+    /// I/O deviation is an error — the caller treats it as a worker crash;
+    /// an [`std::io::ErrorKind::TimedOut`] error specifically means the
+    /// worker is hung.
     fn query(&mut self, input: &[u8], timeout: Option<Duration>) -> std::io::Result<bool> {
         let mut frame = Vec::with_capacity(8 + input.len());
-        match self.version {
-            2 => wire::encode_batch_frame(&[input], &mut frame)?,
-            _ => wire::encode_v1_frame(input, &mut frame)?,
-        }
+        wire::encode_batch_frame(&[input], &mut frame)?;
         match self.exchange(&frame, timeout)? {
             0 => Ok(false),
             1 => Ok(true),
@@ -1325,11 +1266,8 @@ struct PoolInner {
     program: PathBuf,
     args: Vec<String>,
     size: usize,
-    /// Queries per v2 batch frame in the batched dispatcher.
+    /// Queries per batch frame in the batched dispatcher.
     frame_batch: usize,
-    /// Highest wire version to negotiate: 1 pins the legacy protocol
-    /// (no probe is ever sent), 2 (the default) probes for batched frames.
-    max_wire: u8,
     state: Mutex<PoolState>,
     available: Condvar,
     /// Queries for which no real verdict could be obtained (degraded
@@ -1401,7 +1339,6 @@ impl PooledProcessOracle {
                 args: Vec::new(),
                 size: 1,
                 frame_batch: DEFAULT_FRAME_BATCH,
-                max_wire: 2,
                 state: Mutex::new(PoolState::default()),
                 available: Condvar::new(),
                 failures: AtomicUsize::new(0),
@@ -1436,12 +1373,11 @@ impl PooledProcessOracle {
         self
     }
 
-    /// Sets the number of queries packed into one v2 batch frame by the
+    /// Sets the number of queries packed into one batch frame by the
     /// batched dispatcher (must be in `1..=`[`wire::MAX_FRAME_QUERIES`]).
     /// Larger frames amortize more syscall round-trips but delay the first
     /// verdicts of a batch; the default of 32 is a good trade for
-    /// millisecond-or-faster targets. Irrelevant for v1 workers, which are
-    /// always posed one query at a time. Affects throughput only, never
+    /// millisecond-or-faster targets. Affects throughput only, never
     /// verdicts — grammar bytes and query counts are invariant across
     /// frame batch sizes.
     pub fn frame_batch(mut self, n: usize) -> Self {
@@ -1451,20 +1387,6 @@ impl PooledProcessOracle {
             wire::MAX_FRAME_QUERIES
         );
         self.inner_mut().frame_batch = n;
-        self
-    }
-
-    /// Caps the wire version negotiated with workers (must be 1 or 2).
-    ///
-    /// The default (2) probes every fresh worker for batched-frame
-    /// support; `max_wire_version(1)` skips the probe entirely and speaks
-    /// the legacy single-query protocol, byte-for-byte — for workers whose
-    /// target must never see the probe payload, and for pinning v1
-    /// behavior in compatibility tests. Affects throughput only, never
-    /// verdicts.
-    pub fn max_wire_version(mut self, version: u8) -> Self {
-        assert!(version == 1 || version == 2, "wire versions are 1 and 2");
-        self.inner_mut().max_wire = version;
         self
     }
 
@@ -1537,16 +1459,13 @@ impl PooledProcessOracle {
             .spawn()?;
         let stdin = child.stdin.take().expect("piped stdin");
         let stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
-        let mut worker =
-            PooledWorker { child, stdin: Some(stdin), stdout, version: 1, slot, answered: false };
-        if self.inner.max_wire >= 2 {
-            // A worker that cannot even complete negotiation is dead on
-            // arrival: report it as a spawn failure so the callers'
-            // degradation paths (fallback oracle, failure counting) apply.
-            // Negotiation honors the query deadline too — a worker hung at
-            // hello is as dead as one hung mid-query.
-            worker.negotiate(self.query_timeout_duration())?;
-        }
+        let mut worker = PooledWorker { child, stdin: Some(stdin), stdout, slot, answered: false };
+        // A worker that does not acknowledge the hello is dead on arrival:
+        // report it as a spawn failure so the callers' degradation paths
+        // (breaker strike, fallback oracle, failure counting) apply. The
+        // hello honors the query deadline too — a worker hung at hello is
+        // as dead as one hung mid-query.
+        worker.hello(self.query_timeout_duration())?;
         Ok(worker)
     }
 
@@ -1850,11 +1769,10 @@ impl PooledProcessOracle {
     /// Event-driven batched dispatch (see the module docs): multiplexes
     /// every checked-out worker pipe with `poll(2)` readiness from the
     /// calling thread, keeping each worker saturated with a bounded
-    /// in-flight window — batched v2 frames, or strict request–response
-    /// for v1 workers. Crash recovery, retry-once, fallback, and failure
-    /// accounting follow the per-query path exactly; results are one
-    /// verdict (or `None` for an execution failure) per input, in input
-    /// order.
+    /// in-flight window of batch frames. Crash recovery, retry-once,
+    /// fallback, and failure accounting follow the per-query path exactly;
+    /// results are one verdict (or `None` for an execution failure) per
+    /// input, in input order.
     fn dispatch_batch(&self, inputs: &[&[u8]]) -> Vec<Option<bool>> {
         let n = inputs.len();
         let frame_batch = self.inner.frame_batch;
@@ -1872,9 +1790,9 @@ impl PooledProcessOracle {
         let mut pending: VecDeque<usize> = VecDeque::with_capacity(n);
         let mut remaining = 0usize;
         for (i, input) in inputs.iter().enumerate() {
-            if u32::try_from(input.len()).is_err() {
-                // Unframeable behind the protocol's u32 length prefix;
-                // `accepts_checked` repeats the check and degrades.
+            if input.len() > wire::MAX_FRAME_BYTES {
+                // Beyond the frame payload cap, so unpose-able on any
+                // worker; `accepts_checked` repeats the check and degrades.
                 no_verdict.push(i);
             } else {
                 pending.push_back(i);
@@ -1904,11 +1822,9 @@ impl PooledProcessOracle {
                     }
                 }
             }
-            let per_worker =
-                if slots.first().is_some_and(|s| s.worker.version >= 2) { frame_batch } else { 1 };
             while !pending.is_empty()
                 && slots.len() < self.inner.size
-                && slots.len() < pending.len().div_ceil(per_worker)
+                && slots.len() < pending.len().div_ceil(frame_batch)
             {
                 match self.try_checkout().and_then(|w| self.open_slot(w)) {
                     Some(slot) => slots.push(slot),
@@ -1917,58 +1833,33 @@ impl PooledProcessOracle {
             }
 
             // Fill: top every live slot's in-flight window up from the
-            // pending queue. v2 workers take whole batch frames (up to two
-            // frames outstanding so the pipe never drains between frames);
-            // v1 workers are posed strictly one query at a time, per the
-            // protocol.
+            // pending queue with whole batch frames, up to two frames
+            // outstanding so the pipe never drains between frames.
+            let window = frame_batch.saturating_mul(2);
             for slot in &mut slots {
                 if !slot.wants_write() && !slot.outbuf.is_empty() {
                     slot.outbuf.clear();
                     slot.written = 0;
                 }
-                loop {
-                    let v2 = slot.worker.version >= 2;
-                    let window = if v2 { frame_batch.saturating_mul(2) } else { 1 };
-                    if pending.is_empty() || slot.inflight.len() >= window {
-                        break;
-                    }
+                while !pending.is_empty() && slot.inflight.len() < window {
                     // Assemble one frame's worth of queries, respecting
-                    // the v2 frame caps so encoding cannot fail.
+                    // the frame caps so encoding cannot fail (oversized
+                    // single queries never entered the queue).
                     let mut frame_queries: Vec<usize> = Vec::new();
-                    let mut frame_bytes = 0u64;
-                    let take_limit = if v2 { frame_batch } else { 1 };
-                    while frame_queries.len() < take_limit {
+                    let mut frame_bytes = 0usize;
+                    while frame_queries.len() < frame_batch {
                         let Some(&i) = pending.front() else { break };
-                        let len = inputs[i].len() as u64;
-                        if v2 && len > wire::MAX_FRAME_BYTES as u64 {
-                            // A single query beyond the v2 frame cap
-                            // cannot be posed over this channel at all.
-                            pending.pop_front();
-                            no_verdict.push(i);
-                            remaining -= 1;
-                            continue;
-                        }
-                        if v2
-                            && !frame_queries.is_empty()
-                            && frame_bytes + len > wire::MAX_FRAME_BYTES as u64
-                        {
+                        let len = inputs[i].len();
+                        if !frame_queries.is_empty() && frame_bytes + len > wire::MAX_FRAME_BYTES {
                             break;
                         }
                         pending.pop_front();
                         frame_queries.push(i);
                         frame_bytes += len;
                     }
-                    if frame_queries.is_empty() {
-                        break;
-                    }
-                    if v2 {
-                        let refs: Vec<&[u8]> = frame_queries.iter().map(|&i| inputs[i]).collect();
-                        wire::encode_batch_frame(&refs, &mut slot.outbuf)
-                            .expect("frame pre-validated against the protocol caps");
-                    } else {
-                        wire::encode_v1_frame(inputs[frame_queries[0]], &mut slot.outbuf)
-                            .expect("length pre-validated against the u32 prefix");
-                    }
+                    let refs: Vec<&[u8]> = frame_queries.iter().map(|&i| inputs[i]).collect();
+                    wire::encode_batch_frame(&refs, &mut slot.outbuf)
+                        .expect("frame pre-validated against the protocol caps");
                     slot.inflight.extend(frame_queries);
                 }
                 if let Some(t) = timeout {
@@ -2211,24 +2102,18 @@ impl Oracle for PooledProcessOracle {
     }
 
     fn accepts_checked(&self, input: &[u8]) -> Option<bool> {
-        // The protocol cannot frame inputs beyond the u32 length prefix;
-        // detect that before any I/O rather than punishing (and reaping) a
-        // healthy worker for an unpose-able query.
-        if u32::try_from(input.len()).is_err() {
+        // A frame cannot carry more than `MAX_FRAME_BYTES` of payload (a
+        // bound below the u32 length prefix's): detect an unpose-able
+        // query before any I/O rather than punishing (and reaping) a
+        // healthy worker for it. The fallback oracle, if any, still
+        // produces a real verdict.
+        if input.len() > wire::MAX_FRAME_BYTES {
             return self.degraded(input);
         }
         let Some(mut worker) = self.checkout() else {
             // Could not spawn a worker at all.
             return self.degraded(input);
         };
-        // The v2 channel additionally caps a frame's payload: a query
-        // beyond it is unpose-able on *this worker*, not a worker crash —
-        // return the healthy worker and degrade (the fallback oracle, if
-        // any, still produces a real verdict).
-        if worker.version >= 2 && input.len() > wire::MAX_FRAME_BYTES {
-            self.checkin(worker);
-            return self.degraded(input);
-        }
         let timeout = self.query_timeout_duration();
         match worker.query(input, timeout) {
             Ok(v) => {
@@ -2250,27 +2135,19 @@ impl Oracle for PooledProcessOracle {
                     return self.degraded(input);
                 }
                 match self.spawn_worker(slot) {
-                    Ok(mut fresh) => {
-                        if fresh.version >= 2 && input.len() > wire::MAX_FRAME_BYTES {
-                            // Same unpose-able-on-v2 guard as above (the
-                            // replacement may negotiate differently).
+                    Ok(mut fresh) => match fresh.query(input, timeout) {
+                        Ok(v) => {
+                            fresh.answered = true;
                             self.checkin(fresh);
-                            return self.degraded(input);
+                            Some(v)
                         }
-                        match fresh.query(input, timeout) {
-                            Ok(v) => {
-                                fresh.answered = true;
-                                self.checkin(fresh);
-                                Some(v)
-                            }
-                            Err(e) => {
-                                self.kill_if_hung(&mut fresh, &e);
-                                drop(fresh);
-                                self.strike_and_release(slot, false);
-                                self.degraded(input)
-                            }
+                        Err(e) => {
+                            self.kill_if_hung(&mut fresh, &e);
+                            drop(fresh);
+                            self.strike_and_release(slot, false);
+                            self.degraded(input)
                         }
-                    }
+                    },
                     Err(_) => {
                         self.strike_and_release(slot, false);
                         self.degraded(input)
@@ -2450,6 +2327,30 @@ mod tests {
         let clone = o.clone();
         assert!(!clone.accepts(b"again"));
         assert_eq!(o.failure_count(), 2);
+    }
+
+    #[test]
+    fn worker_acks_only_the_hello_as_its_first_frame() {
+        let mut out = Vec::new();
+        assert!(accept_hello(&mut &wire::HELLO[..], &mut out).expect("hello"));
+        assert_eq!(out, [wire::HELLO_ACK]);
+        out.clear();
+        // A clean EOF before any frame leaves nothing to serve.
+        assert!(!accept_hello(&mut &b""[..], &mut out).expect("clean EOF"));
+        // A legacy single-query frame is refused from its length prefix
+        // alone: nothing past it is read, so a short frame cannot block.
+        let mut legacy: &[u8] = b"\x03\x00\x00\x00abc";
+        let err = accept_hello(&mut legacy, &mut out).expect_err("not the hello");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(legacy, b"abc");
+        // A hello-length frame with another payload, and a batch frame.
+        let mut wrong = *wire::HELLO;
+        wrong[19] = b'!';
+        assert!(accept_hello(&mut &wrong[..], &mut out).is_err());
+        let mut batch = Vec::new();
+        wire::encode_batch_frame(&[b"<a>hi</a>"], &mut batch).expect("encodes");
+        assert!(accept_hello(&mut &batch[..], &mut out).is_err());
+        assert!(out.is_empty(), "nothing but the hello is acknowledged");
     }
 
     #[test]

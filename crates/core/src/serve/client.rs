@@ -177,10 +177,15 @@ impl ServeClient {
 
     /// Opens the connection's campaign; returns the campaign id and the
     /// oracle fingerprint.
+    ///
+    /// A spec that [`OpenRequest::check_oracle_spec`] refuses is an
+    /// [`InvalidInput`](std::io::ErrorKind::InvalidInput) error, and
+    /// nothing is sent.
     pub fn open(&mut self, request: &OpenRequest) -> std::io::Result<(u32, String)> {
         if self.campaign.is_some() {
             return Err(std::io::Error::other("campaign already open"));
         }
+        request.check_oracle_spec()?;
         let mut frame = Vec::new();
         encode_frame(TAG_OPEN, &request.to_body(), &mut frame);
         self.stream.write_all(&frame)?;

@@ -179,7 +179,36 @@ impl OpenRequest {
         }
     }
 
-    pub(crate) fn to_body(&self) -> Vec<u8> {
+    /// Checks that the oracle spec reaches the server unchanged. The
+    /// `OPEN` body is line-based and the server trims every line, so a
+    /// spec with a line break could smuggle in option lines (say, a
+    /// `cache on`), and surrounding whitespace would be dropped; an empty
+    /// spec is refused by the server anyway.
+    ///
+    /// # Errors
+    ///
+    /// [`InvalidInput`](std::io::ErrorKind::InvalidInput) for an empty
+    /// spec, one containing `\n` or `\r`, or one with leading or trailing
+    /// whitespace.
+    pub fn check_oracle_spec(&self) -> std::io::Result<()> {
+        let spec = &self.oracle_spec;
+        if spec.is_empty() || spec.contains(['\n', '\r']) || spec.trim() != spec {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "oracle spec {spec:?} must be nonempty, one line, and free of surrounding \
+                     whitespace"
+                ),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Encodes the `OPEN` frame body: an `oracle SPEC` line, then one line
+    /// per non-default option. The spec is written as is; see
+    /// [`check_oracle_spec`](OpenRequest::check_oracle_spec) for the specs
+    /// that survive [`from_body`](OpenRequest::from_body) unchanged.
+    pub fn to_body(&self) -> Vec<u8> {
         let mut body = format!("oracle {}\n", self.oracle_spec);
         if let Some(n) = self.max_queries {
             body.push_str(&format!("max-queries {n}\n"));
@@ -196,7 +225,16 @@ impl OpenRequest {
         body.into_bytes()
     }
 
-    pub(crate) fn from_body(body: &[u8]) -> Result<OpenRequest, ProtocolError> {
+    /// Decodes an `OPEN` frame body (the server side of
+    /// [`to_body`](OpenRequest::to_body)). Lines are trimmed, blank lines
+    /// and unknown options from newer clients are skipped, and the
+    /// `oracle` line is required.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::Malformed`] for a body that is not UTF-8, lacks a
+    /// nonempty `oracle` line, or carries a bad `max-queries` value.
+    pub fn from_body(body: &[u8]) -> Result<OpenRequest, ProtocolError> {
         let text = std::str::from_utf8(body)
             .map_err(|_| ProtocolError::Malformed("OPEN body is not UTF-8".into()))?;
         let mut oracle_spec = None;
@@ -473,6 +511,21 @@ mod tests {
         assert_eq!(parsed.oracle_spec, "target:xml");
         assert!(OpenRequest::from_body(b"max-queries 5\n").is_err(), "oracle line is required");
         assert!(OpenRequest::from_body(b"oracle target:xml\nmax-queries zap\n").is_err());
+    }
+
+    #[test]
+    fn specs_that_would_not_survive_the_body_are_refused() {
+        // The injection the check exists for: a line break in the spec
+        // turns into an option line on the server side.
+        let injected = OpenRequest::new("target:xml\ncache on");
+        assert!(OpenRequest::from_body(&injected.to_body()).expect("parses").cache);
+        for spec in ["target:xml\ncache on", "target:xml\r", " target:xml", "target:xml\t", ""] {
+            let err = OpenRequest::new(spec).check_oracle_spec().expect_err(spec);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{spec:?}");
+        }
+        for spec in ["target:xml", "cmd:python3 worker.py  --strict"] {
+            OpenRequest::new(spec).check_oracle_spec().expect(spec);
+        }
     }
 
     #[test]

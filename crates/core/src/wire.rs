@@ -1,15 +1,13 @@
-//! The pooled-oracle wire codec: v2 batched frames and version
-//! negotiation constants.
+//! The pooled-oracle wire codec: batched frames and the hello handshake.
 //!
 //! [`PooledProcessOracle`](crate::PooledProcessOracle) and
 //! [`serve_oracle_worker`](crate::serve_oracle_worker) speak a
-//! length-prefixed verdict protocol over a worker's stdin/stdout. Protocol
-//! **v1** frames one query per request; protocol **v2** batches N queries
-//! per request frame and N verdict bytes per response, cutting the
-//! syscall + scheduling round-trips per query by the batch factor. This
-//! module holds the pure encode/decode halves of the v2 framing so they
-//! can be property-tested in isolation from any process plumbing; the full
-//! wire-format specification (negotiation included) lives in the
+//! length-prefixed verdict protocol over a worker's stdin/stdout: after a
+//! one-time [`HELLO`] exchange, every request frame batches N queries and
+//! every response carries N verdict bytes, so a batch pays two pipe
+//! round-trips instead of 2·N. This module holds the pure encode/decode
+//! halves of the framing so they can be property-tested in isolation from
+//! any process plumbing; the full wire-format specification lives in the
 //! [`oracle`](crate::Oracle) module documentation.
 //!
 //! All decoding fails closed: a malformed, truncated, or oversized frame
@@ -19,36 +17,39 @@
 
 use std::io::Read;
 
-/// Payload of the version-negotiation probe, sent by the oracle as an
-/// ordinary v1 single-query frame right after a worker spawns.
+/// The hello frame the oracle sends to every freshly spawned worker before
+/// any query: a `u32` little-endian length of 16, then the 16-byte payload
+/// `\0\0glade-wire-v2?`.
 ///
-/// A v2-capable worker recognizes the exact payload and answers
-/// [`WIRE_V2_ACK`]; a v1 worker cannot distinguish it from a real
-/// membership query and answers an ordinary verdict byte (`0`/`1`), which
-/// the oracle discards. The payload starts with two NUL bytes precisely to
-/// make a collision with a genuine membership query of some target
-/// language implausible.
-pub const WIRE_V2_PROBE: &[u8] = b"\x00\x00glade-wire-v2?";
+/// A conforming worker reads it as its first frame and answers
+/// [`HELLO_ACK`]; a worker whose first frame is anything else exits
+/// nonzero. The bytes are those of the version probe earlier releases
+/// sent, so those releases' pools and workers interoperate with this one.
+/// The payload's leading NUL pair and the length prefix of 16 also make
+/// the hello an illegal batch frame: read as one, its first query length
+/// exceeds [`MAX_FRAME_BYTES`].
+pub const HELLO: &[u8; 20] = b"\x10\x00\x00\x00\x00\x00glade-wire-v2?";
 
-/// Response byte acknowledging the v2 upgrade. Deliberately outside the
-/// verdict byte range (`0x00`/`0x01`), so a v1 oracle that accidentally
-/// poses the probe as a query to a v2 worker observes a protocol error (a
-/// crash, recoverable) rather than a wrong verdict.
-pub const WIRE_V2_ACK: u8 = 0x02;
+/// The worker's one-byte answer to [`HELLO`]. Deliberately outside the
+/// verdict byte range (`0x00`/`0x01`): a legacy single-query worker that
+/// takes the hello for a membership query answers a verdict byte, which
+/// the pool rejects instead of reading the worker's later verdicts for the
+/// wrong bytes.
+pub const HELLO_ACK: u8 = 0x02;
 
-/// Maximum number of queries a single v2 batch frame may carry.
+/// Maximum number of queries a single batch frame may carry.
 ///
 /// The bound exists to fail fast on a corrupted count prefix: a decoder
 /// must reject a bigger count *before* allocating for it.
 pub const MAX_FRAME_QUERIES: usize = 1 << 16;
 
 /// Maximum total payload bytes (the queries themselves, excluding the
-/// length prefixes) a single v2 batch frame may carry. As with
+/// length prefixes) a single batch frame may carry. As with
 /// [`MAX_FRAME_QUERIES`], the cap turns a corrupted length prefix into an
 /// immediate decode error instead of an absurd allocation.
 pub const MAX_FRAME_BYTES: usize = 1 << 30;
 
-/// A v2 frame failed to encode or decode. Decoding errors mean the peer
+/// A frame failed to encode or decode. Decoding errors mean the peer
 /// (or the pipe) is broken; the pool reacts by reaping the worker and
 /// counting the affected queries as oracle failures if retries are also
 /// exhausted — malformed frames fail closed, they never produce verdicts.
@@ -111,22 +112,7 @@ impl From<FrameError> for std::io::Error {
     }
 }
 
-/// Appends one v1 single-query frame (`u32` little-endian byte length,
-/// then the raw bytes) to `out`.
-///
-/// # Errors
-///
-/// [`FrameError::QueryTooLong`] when the query cannot be framed behind a
-/// `u32` length prefix.
-pub fn encode_v1_frame(query: &[u8], out: &mut Vec<u8>) -> Result<(), FrameError> {
-    let len = u32::try_from(query.len()).map_err(|_| FrameError::QueryTooLong(query.len()))?;
-    out.reserve(4 + query.len());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(query);
-    Ok(())
-}
-
-/// Appends one v2 batch frame to `out`: a `u32` little-endian query count,
+/// Appends one batch frame to `out`: a `u32` little-endian query count,
 /// then each query as a `u32` little-endian length followed by its bytes.
 ///
 /// # Errors
@@ -162,7 +148,7 @@ pub fn encode_batch_frame(queries: &[&[u8]], out: &mut Vec<u8>) -> Result<(), Fr
     Ok(())
 }
 
-/// Reads exactly one v2 batch frame from `input`, returning the decoded
+/// Reads exactly one batch frame from `input`, returning the decoded
 /// queries in frame order.
 ///
 /// This is the worker-side decode half: it expects the stream to be
@@ -228,13 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_frame_layout_is_the_legacy_wire_format() {
-        let mut buf = Vec::new();
-        encode_v1_frame(b"abc", &mut buf).expect("encodes");
-        assert_eq!(buf, [3, 0, 0, 0, b'a', b'b', b'c']);
-    }
-
-    #[test]
     fn empty_batch_is_rejected_on_both_sides() {
         let mut buf = Vec::new();
         assert!(matches!(encode_batch_frame(&[], &mut buf), Err(FrameError::EmptyFrame)));
@@ -273,13 +252,9 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::assertions_on_constants)]
-    fn probe_is_a_legal_v1_query_payload() {
-        // The negotiation probe must be frameable as an ordinary v1 query
-        // (that is what a v1 worker will take it for).
-        let mut buf = Vec::new();
-        encode_v1_frame(WIRE_V2_PROBE, &mut buf).expect("probe frames as v1");
-        assert_eq!(&buf[4..], WIRE_V2_PROBE);
-        assert!(WIRE_V2_ACK > 1, "ack byte must sit outside the verdict range");
+    fn hello_is_an_illegal_batch_frame() {
+        // A worker can tell the hello from any batch frame: decoded as
+        // one, its first query length breaks the payload cap.
+        assert!(matches!(decode_batch_frame(&mut &HELLO[..]), Err(FrameError::FrameTooLarge(_))));
     }
 }

@@ -280,30 +280,32 @@ fn skewed_latency_does_not_change_grammar_or_query_counts() {
 /// format compatibility test, not a round-trip through our own helper.
 /// Language: nonempty strings of `x`.
 ///
-/// Flags exercising the protocol's failure paths:
-/// * `--v1-only` — never acknowledge the v2 negotiation probe (the probe
-///   is answered like any other query), pinning the legacy single-query
-///   wire format end to end;
-/// * `--crash-after N` — exit abruptly after answering N queries; in v2
-///   mode a mid-frame hit writes the *partial* verdict run first, so the
-///   oracle must recover from a torn batch response;
+/// The worker expects the hello as its first frame (and exits nonzero
+/// otherwise), then answers batch frames. Flags exercising the protocol's
+/// failure paths:
+/// * `--v1-only` — a legacy single-query worker: every frame, the hello
+///   included, is read as one length-prefixed membership query and
+///   answered with a verdict byte, so the hello is never acknowledged;
+/// * `--crash-after N` — exit abruptly after answering N queries; a
+///   mid-frame hit writes the *partial* verdict run first, so the oracle
+///   must recover from a torn batch response;
 /// * `--garbage-after N` — answer every verdict after the Nth as an
 ///   illegal byte (`0x7f`): the oracle must treat it as a crash, never as
 ///   a verdict;
 /// * `--hang-after N` — answer N queries and then go silent *without*
-///   exiting (in v2 mode the partial verdicts of the current frame are
-///   flushed first, so the hang lands mid-batch): the pipe stays open, so
+///   exiting (the partial verdicts of the current frame are flushed
+///   first, so the hang lands mid-batch): the pipe stays open, so
 ///   only a query deadline can unwedge the oracle;
 /// * `--stall-ms M` — slow-loris: trickle each verdict byte after an M ms
 ///   pause. Slow but healthy — a per-verdict deadline must tolerate it
 ///   even when the whole batch takes longer than the deadline;
-/// * the input `CRASH!` makes the worker exit *without* answering (in v2
-///   mode: after flushing the partial verdicts of the frame so far) — a
-///   poison input that defeats every retry.
+/// * the input `CRASH!` makes the worker exit *without* answering (after
+///   flushing the partial verdicts of the frame so far) — a poison input
+///   that defeats every retry.
 const TEST_WORKER_SOURCE: &str = r#"
 use std::io::{Read, Write};
 
-const PROBE: &[u8] = b"\x00\x00glade-wire-v2?";
+const HELLO: &[u8] = b"\x10\x00\x00\x00\x00\x00glade-wire-v2?";
 const ACK: u8 = 0x02;
 
 fn flag(args: &[String], name: &str) -> Option<usize> {
@@ -330,9 +332,32 @@ fn main() {
     let mut input = stdin.lock();
     let mut output = stdout.lock();
     let mut buf = Vec::new();
+    if v1_only {
+        // Legacy single-query framing: u32 LE length, bytes; one verdict.
+        loop {
+            let mut prefix = [0u8; 4];
+            if input.read_exact(&mut prefix).is_err() {
+                return;
+            }
+            buf.clear();
+            buf.resize(u32::from_le_bytes(prefix) as usize, 0);
+            if input.read_exact(&mut buf).is_err() {
+                return;
+            }
+            let accept = !buf.is_empty() && buf.iter().all(|&b| b == b'x');
+            if output.write_all(&[u8::from(accept)]).is_err() || output.flush().is_err() {
+                return;
+            }
+        }
+    }
+    let mut hello = [0u8; 20];
+    if input.read_exact(&mut hello).is_err() || hello[..] != HELLO[..] {
+        std::process::exit(67); // the first frame must be the hello
+    }
+    if output.write_all(&[ACK]).is_err() || output.flush().is_err() {
+        return;
+    }
     let mut answered = 0usize;
-    let mut v2 = false;
-    let mut first_frame = true;
     let verdict_byte = |accept: bool, answered: usize| -> u8 {
         if garbage_after.is_some_and(|g| answered > g) { 0x7f } else { u8::from(accept) }
     };
@@ -341,100 +366,61 @@ fn main() {
         if input.read_exact(&mut prefix).is_err() {
             return; // clean EOF between frames
         }
-        let head = u32::from_le_bytes(prefix) as usize;
-        if !v2 {
-            // v1 frame: `head` is the query's byte length.
+        let head = u32::from_le_bytes(prefix) as usize; // the query count
+        if head == 0 || head > 1 << 16 {
+            std::process::exit(64); // malformed frame: fail closed
+        }
+        let mut verdicts: Vec<u8> = Vec::with_capacity(head);
+        let mut die = None;
+        for _ in 0..head {
+            let mut lp = [0u8; 4];
+            if input.read_exact(&mut lp).is_err() {
+                std::process::exit(65); // truncated frame
+            }
+            let len = u32::from_le_bytes(lp) as usize;
+            if len > 1 << 30 {
+                std::process::exit(66); // oversized frame
+            }
             buf.clear();
-            buf.resize(head, 0);
+            buf.resize(len, 0);
             if input.read_exact(&mut buf).is_err() {
-                return;
+                std::process::exit(65);
             }
-            // Per the spec, the probe is special on the first frame only:
-            // the oracle negotiates right after spawn, so a later query
-            // equal to the probe is just a query.
-            if first_frame && !v1_only && buf == PROBE {
-                if output.write_all(&[ACK]).is_err() || output.flush().is_err() {
-                    return;
-                }
-                v2 = true;
-                continue;
-            }
-            first_frame = false;
             if buf == b"CRASH!" {
-                std::process::exit(3);
+                die = Some(3);
+                break;
             }
             if hang_after.is_some_and(|h| answered >= h) {
+                // A mid-frame hang still flushes the verdicts so far:
+                // the oracle sees a torn batch that then goes silent.
+                let _ = output.write_all(&verdicts);
+                let _ = output.flush();
                 hang_forever();
             }
             let accept = !buf.is_empty() && buf.iter().all(|&b| b == b'x');
             answered += 1;
-            if let Some(ms) = stall_ms {
-                std::thread::sleep(std::time::Duration::from_millis(ms as u64));
-            }
-            if output.write_all(&[verdict_byte(accept, answered)]).is_err() {
-                return;
-            }
-            let _ = output.flush();
+            verdicts.push(verdict_byte(accept, answered));
             if crash_after == Some(answered) {
-                std::process::exit(42);
+                die = Some(42);
+                break;
             }
-        } else {
-            // v2 frame: `head` is the query count.
-            if head == 0 || head > 1 << 16 {
-                std::process::exit(64); // malformed frame: fail closed
-            }
-            let mut verdicts: Vec<u8> = Vec::with_capacity(head);
-            let mut die = None;
-            for _ in 0..head {
-                let mut lp = [0u8; 4];
-                if input.read_exact(&mut lp).is_err() {
-                    std::process::exit(65); // truncated frame
-                }
-                let len = u32::from_le_bytes(lp) as usize;
-                if len > 1 << 30 {
-                    std::process::exit(66); // oversized frame
-                }
-                buf.clear();
-                buf.resize(len, 0);
-                if input.read_exact(&mut buf).is_err() {
-                    std::process::exit(65);
-                }
-                if buf == b"CRASH!" {
-                    die = Some(3);
-                    break;
-                }
-                if hang_after.is_some_and(|h| answered >= h) {
-                    // A mid-frame hang still flushes the verdicts so far:
-                    // the oracle sees a torn batch that then goes silent.
-                    let _ = output.write_all(&verdicts);
-                    let _ = output.flush();
-                    hang_forever();
-                }
-                let accept = !buf.is_empty() && buf.iter().all(|&b| b == b'x');
-                answered += 1;
-                verdicts.push(verdict_byte(accept, answered));
-                if crash_after == Some(answered) {
-                    die = Some(42);
-                    break;
+        }
+        // A mid-frame death still flushes the verdicts computed so
+        // far: the oracle must survive a torn (partial) response.
+        if let Some(ms) = stall_ms {
+            // Slow-loris: one flushed byte per pause, so every verdict
+            // arrives as its own read on the oracle side.
+            for &v in &verdicts {
+                std::thread::sleep(std::time::Duration::from_millis(ms as u64));
+                if output.write_all(&[v]).is_err() || output.flush().is_err() {
+                    return;
                 }
             }
-            // A mid-frame death still flushes the verdicts computed so
-            // far: the oracle must survive a torn (partial) response.
-            if let Some(ms) = stall_ms {
-                // Slow-loris: one flushed byte per pause, so every verdict
-                // arrives as its own read on the oracle side.
-                for &v in &verdicts {
-                    std::thread::sleep(std::time::Duration::from_millis(ms as u64));
-                    if output.write_all(&[v]).is_err() || output.flush().is_err() {
-                        return;
-                    }
-                }
-            } else if output.write_all(&verdicts).is_err() || output.flush().is_err() {
-                return;
-            }
-            if let Some(code) = die {
-                std::process::exit(code);
-            }
+        } else if output.write_all(&verdicts).is_err() || output.flush().is_err() {
+            return;
+        }
+        if let Some(code) = die {
+            std::process::exit(code);
         }
     }
 }
@@ -514,15 +500,6 @@ fn matrix_pool_sizes() -> Vec<usize> {
     }
 }
 
-/// Wire-version cap for the protocol matrix; `GLADE_TEST_WIRE=v1` pins the
-/// legacy single-query framing (the CI matrix sweeps it).
-fn matrix_wire_cap() -> u8 {
-    match std::env::var("GLADE_TEST_WIRE").as_deref() {
-        Ok("v1") | Ok("1") => 1,
-        _ => 2,
-    }
-}
-
 #[test]
 fn pooled_oracle_protocol_round_trip() {
     let _guard = Watchdog::arm("pooled_oracle_protocol_round_trip");
@@ -530,7 +507,7 @@ fn pooled_oracle_protocol_round_trip() {
         eprintln!("skipping: rustc unavailable, cannot build the protocol worker");
         return;
     };
-    let pool = PooledProcessOracle::new(bin).pool_size(3).max_wire_version(matrix_wire_cap());
+    let pool = PooledProcessOracle::new(bin).pool_size(3);
     // Single-threaded sanity, including the empty input (a zero-length
     // frame) and binary bytes.
     assert!(pool.accepts(b"x"));
@@ -619,10 +596,9 @@ fn x_workload(count: usize, offset: usize) -> Vec<Vec<u8>> {
 
 #[test]
 fn batched_dispatch_agrees_with_per_query_path_across_matrix() {
-    // The event-driven dispatcher (poll-multiplexed pipes, batched v2
-    // frames or strict v1 request–response) must produce exactly the
-    // verdicts of the blocking per-query path, at every pool size, wire
-    // version, and frame batch size the matrix requests.
+    // The event-driven dispatcher (poll-multiplexed pipes, batched
+    // frames) must produce exactly the verdicts of the blocking per-query
+    // path, at every pool size and frame batch size the matrix requests.
     let _guard = Watchdog::arm("batched_dispatch_agrees_with_per_query_path_across_matrix");
     let Some(bin) = test_worker_bin() else {
         eprintln!("skipping: rustc unavailable, cannot build the protocol worker");
@@ -633,10 +609,7 @@ fn batched_dispatch_agrees_with_per_query_path_across_matrix() {
     let expected: Vec<Option<bool>> = inputs.iter().map(|i| Some(x_language(i))).collect();
     for pool_size in matrix_pool_sizes() {
         for frame_batch in [1usize, 7, 64] {
-            let pool = PooledProcessOracle::new(bin)
-                .pool_size(pool_size)
-                .frame_batch(frame_batch)
-                .max_wire_version(matrix_wire_cap());
+            let pool = PooledProcessOracle::new(bin).pool_size(pool_size).frame_batch(frame_batch);
             let verdicts = pool.accepts_batch_checked(&refs);
             assert_eq!(
                 verdicts, expected,
@@ -649,35 +622,35 @@ fn batched_dispatch_agrees_with_per_query_path_across_matrix() {
 }
 
 #[test]
-fn v1_only_worker_pins_version_negotiation() {
-    // A worker that never acknowledges the upgrade probe must be driven
-    // with legacy single-query frames — including by the batched
-    // dispatcher — and the probe's discarded verdict must never surface.
-    let _guard = Watchdog::arm("v1_only_worker_pins_version_negotiation");
+fn legacy_worker_without_hello_ack_fails_closed() {
+    // A legacy single-query worker takes the hello for a membership query
+    // and answers a verdict byte. Driving it with batch frames would read
+    // their count prefixes as query lengths and yield verdicts for the
+    // wrong bytes, so such a worker must be dead on arrival: every query
+    // degrades to a counted failure, its slots trip, and no call on either
+    // path ever returns a verdict.
+    let _guard = Watchdog::arm("legacy_worker_without_hello_ack_fails_closed");
     let Some(bin) = test_worker_bin() else {
         eprintln!("skipping: rustc unavailable, cannot build the protocol worker");
         return;
     };
-    let pool = PooledProcessOracle::new(bin).arg("--v1-only").pool_size(2);
-    assert!(pool.accepts(b"x"));
-    assert!(!pool.accepts(b""));
-    let inputs = x_workload(120, 31);
+    let pool = PooledProcessOracle::new(bin)
+        .arg("--v1-only")
+        .pool_size(2)
+        .respawn_backoff(Duration::from_millis(1));
+    assert_eq!(pool.accepts_checked(b"x"), None);
+    assert_eq!(pool.accepts_checked(b""), None);
+    let inputs = x_workload(40, 31);
     let refs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
-    let expected: Vec<Option<bool>> = inputs.iter().map(|i| Some(x_language(i))).collect();
-    assert_eq!(pool.accepts_batch_checked(&refs), expected);
-    assert_eq!(pool.failure_count(), 0);
-    assert_eq!(pool.respawn_count(), 0, "negotiating down is not a crash");
-
-    // And capping the oracle to v1 against a v2-capable worker speaks
-    // byte-identical legacy frames (no probe is ever sent).
-    let capped = PooledProcessOracle::new(bin).pool_size(2).max_wire_version(1);
-    assert_eq!(capped.accepts_batch_checked(&refs), expected);
-    assert_eq!(capped.failure_count(), 0);
+    assert_eq!(pool.accepts_batch_checked(&refs), vec![None; refs.len()]);
+    assert_eq!(pool.accepts_checked(b"xx"), None);
+    assert!(pool.failure_count() > 0, "degraded queries are counted");
+    assert!(pool.tripped_worker_count() > 0, "the legacy worker's slots trip");
 }
 
 #[test]
 fn crash_mid_batch_under_concurrent_load_recovers_every_query() {
-    // Workers die after every 23 answers — with 64-query v2 frames the
+    // Workers die after every 23 answers — with 64-query frames the
     // death lands mid-frame and the worker flushes a *partial* verdict
     // run first (see TEST_WORKER_SOURCE). Four threads hammer batched
     // dispatch concurrently; every query must still get its true verdict
@@ -815,7 +788,7 @@ fn slow_loris_verdicts_within_the_deadline_stay_healthy() {
 
 #[test]
 fn hang_mid_v2_frame_under_concurrent_load_recovers_every_query() {
-    // Workers answer 13 queries and then hang mid-v2-frame, after flushing
+    // Workers answer 13 queries and then hang mid-frame, after flushing
     // a torn partial verdict run (see TEST_WORKER_SOURCE). Concurrent
     // batched dispatch must detect each hang at the deadline, kill the
     // worker, requeue the unanswered tail, and replay it on fresh workers:
@@ -922,11 +895,8 @@ fn full_synthesis_through_crashing_pool_matches_in_process_run() {
         .synthesize(&seeds, &reference_oracle)
         .expect("valid seed");
     for pool_size in matrix_pool_sizes() {
-        let pool = PooledProcessOracle::new(bin)
-            .arg("--crash-after")
-            .arg("19")
-            .pool_size(pool_size)
-            .max_wire_version(matrix_wire_cap());
+        let pool =
+            PooledProcessOracle::new(bin).arg("--crash-after").arg("19").pool_size(pool_size);
         let pooled = GladeBuilder::new()
             .memoize_byte_classes(matrix_memo())
             .synthesize(&seeds, &pool)

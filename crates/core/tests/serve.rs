@@ -237,6 +237,29 @@ fn incremental_seed_batches_match_combined_local_session() {
     handle.shutdown().expect("server shutdown");
 }
 
+#[test]
+fn client_refuses_oracle_specs_the_open_body_would_change() {
+    // A line break in the spec would reach the server as an extra option
+    // line (here a cache-on campaign), and surrounding whitespace would be
+    // trimmed away: the client refuses both before sending anything, so
+    // the connection can still open a well-formed campaign.
+    let _watchdog = Watchdog::arm("client_refuses_oracle_specs_the_open_body_would_change");
+    let dir = scratch_dir("spec-check");
+    let socket = dir.join("sock");
+    let handle =
+        Server::new(test_factory(), ServeConfig::default()).spawn(&socket).expect("spawn server");
+    let mut client = ServeClient::connect(&socket).expect("connect");
+    for spec in ["xml\ncache on", "xml\r\ncache on", " xml", "xml "] {
+        let err = client.open(&OpenRequest::new(spec)).expect_err(spec);
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{spec:?}");
+    }
+    client.open(&OpenRequest::new("xml")).expect("open");
+    let outcome = client.synthesize(&[b"<a>hi</a>".to_vec()], |_| {}).expect("synthesize");
+    assert_eq!(outcome.stats.unique_queries, GOLDEN_UNIQUE_ON);
+    client.close().expect("close");
+    handle.shutdown().expect("server shutdown");
+}
+
 /// An [`xml_like`] oracle that parks exactly once — on its `gate_after`-th
 /// query — until the test releases it, so a cancel frame can land while
 /// the run is provably mid-flight.

@@ -1,4 +1,4 @@
-//! Property-based battery for the v2 batched-frame codec (`glade_core::wire`)
+//! Property-based battery for the batched-frame codec (`glade_core::wire`)
 //! and its fail-closed decoding contract: arbitrary query batches
 //! round-trip byte-identically, and malformed / truncated / oversized
 //! frames are typed errors — never a panic, never a fabricated verdict.
@@ -9,8 +9,7 @@
 //! against an independently implemented worker binary.
 
 use glade_core::wire::{
-    decode_batch_frame, encode_batch_frame, encode_v1_frame, FrameError, MAX_FRAME_QUERIES,
-    WIRE_V2_ACK, WIRE_V2_PROBE,
+    decode_batch_frame, encode_batch_frame, FrameError, HELLO, HELLO_ACK, MAX_FRAME_QUERIES,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -116,26 +115,15 @@ proptest! {
     }
 
     #[test]
-    fn v1_frames_roundtrip_through_the_legacy_layout(query in arb_query()) {
+    fn probe_never_collides_with_small_engine_queries(batch in arb_batch()) {
+        // A worker must tell the hello from every batch frame at the
+        // first frame; the generator's arbitrary bytes stand in for
+        // engine-made queries. (The structural guarantee: read as a batch
+        // frame, the hello declares a first query beyond the payload cap.)
+        let refs: Vec<&[u8]> = batch.iter().map(Vec::as_slice).collect();
         let mut encoded = Vec::new();
-        encode_v1_frame(&query, &mut encoded).expect("encodes");
-        prop_assert_eq!(encoded.len(), 4 + query.len());
-        prop_assert_eq!(u32::from_le_bytes(encoded[..4].try_into().unwrap()) as usize, query.len());
-        prop_assert_eq!(&encoded[4..], &query[..]);
-    }
-
-    #[test]
-    fn probe_never_collides_with_small_engine_queries(query in arb_query()) {
-        // The negotiation probe must be recognizable unambiguously; the
-        // generator's arbitrary bytes stand in for engine-made queries.
-        // (Not a proof — the real guarantee is the leading NUL NUL pair,
-        // which no text-protocol target accepts — but a cheap tripwire.)
-        if query != WIRE_V2_PROBE {
-            let refs: Vec<&[u8]> = vec![&query];
-            let mut encoded = Vec::new();
-            encode_batch_frame(&refs, &mut encoded).expect("encodes");
-            prop_assert!(encoded[8..] != WIRE_V2_PROBE[..] || query == WIRE_V2_PROBE);
-        }
+        encode_batch_frame(&refs, &mut encoded).expect("encodes");
+        prop_assert!(!encoded.starts_with(HELLO));
     }
 }
 
@@ -163,12 +151,18 @@ fn too_many_queries_rejected_at_encode_time() {
 #[test]
 #[allow(clippy::assertions_on_constants)]
 fn ack_byte_is_outside_the_verdict_range() {
-    // The negotiation contract: v1 verdicts are 0x00/0x01, so the upgrade
-    // ack must be distinguishable from both.
-    assert!(WIRE_V2_ACK != 0 && WIRE_V2_ACK != 1);
-    // And the probe itself frames as a legal v1 query (that is exactly
-    // what a v1-only worker will take it for).
-    let mut framed = Vec::new();
-    encode_v1_frame(WIRE_V2_PROBE, &mut framed).expect("probe frames");
-    assert_eq!(&framed[4..], WIRE_V2_PROBE);
+    // Verdicts are 0x00/0x01, so a legacy single-query worker that takes
+    // the hello for a membership query can never pass for an ack.
+    assert!(HELLO_ACK != 0 && HELLO_ACK != 1);
+    assert_eq!(HELLO_ACK, 0x02);
+}
+
+#[test]
+fn hello_is_the_released_probe_frame_byte_for_byte() {
+    // The hello is exactly the version probe earlier releases sent (a
+    // u32 LE length of 16, then the payload), so older pools drive new
+    // workers and new pools drive older batched-frame workers.
+    let mut released = 16u32.to_le_bytes().to_vec();
+    released.extend_from_slice(b"\x00\x00glade-wire-v2?");
+    assert_eq!(HELLO[..], released[..]);
 }

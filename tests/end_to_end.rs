@@ -97,7 +97,7 @@ fn xml_synthesis_through_pooled_async_path_is_byte_identical() {
     // The instrumented XML target's own seeds, synthesized once in
     // process and once over pools of 1, 2, and 8 `glade worker xml`
     // processes via the session API. The pooled async path (submission
-    // queue, poll-multiplexed pipes, batched v2 frames) must change
+    // queue, poll-multiplexed pipes, batched frames) must change
     // nothing: grammar bytes, distinct queries, and failure accounting
     // all match.
     let xml = Xml;

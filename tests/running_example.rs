@@ -94,7 +94,7 @@ fn oracle_query_counts_are_modest() {
 #[test]
 fn running_example_through_pooled_async_path_is_byte_identical() {
     // The full Figures 1–3 run posed over pipes to pools of 1, 2, and 8
-    // `glade worker` processes (batched v2 frames, event-driven dispatch)
+    // `glade worker` processes (batched frames, event-driven dispatch)
     // via the session API: grammar bytes, distinct queries, and failure
     // accounting must exactly match the in-process oracle.
     let lang = toy_xml();
