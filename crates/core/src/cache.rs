@@ -4,9 +4,17 @@
 //! Both [`CachingOracle`](crate::CachingOracle) and the internal
 //! `QueryRunner` memoize membership queries here, so no query is paid
 //! twice. The runner, the chargen and phase-2 planners, and the session
-//! all call `get`/`insert` from the calling thread; the mutex is there
-//! because a `CachingOracle` is shared across engine worker threads.
+//! all call into it from the calling thread; the mutex is there because a
+//! `CachingOracle` is shared across engine worker threads.
 //!
+//! * **Keys carry their hash** — each key is stored as its [`key_hash`]
+//!   plus its bytes (`Box<[u8]>`, so an entry is no larger than a
+//!   `Vec<u8>` key was) under a pass-through hasher. A planned wave hashes
+//!   each check once (`runner::Wave`) and hands that hash to
+//!   [`QueryCache::get_hashed`] and [`QueryCache::insert_hashed`], so
+//!   lookups, inserts and map resizes never re-hash the bytes. The hash is
+//!   fixed and unkeyed, like the fixed-key SipHash it replaced: iteration
+//!   (and so eviction) order is the same on every run.
 //! * **Residency cap** — [`QueryCache::with_max_entries`] keeps at most
 //!   `n` verdicts resident for long-lived campaigns, evicting with a
 //!   second-chance (clock) sweep over the map's deterministic iteration
@@ -18,19 +26,111 @@
 //!   a cap this takes one `u64` hash per distinct query in a `HashSet`
 //!   that eviction never shrinks: the cap bounds resident verdicts, not
 //!   memory.
+//!
+//! [`hash_query`] (SipHash with fixed keys) is kept only for the
+//! `glade-cachebin` index, whose on-disk bytes depend on it.
 
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher, Hash, Hasher};
 use std::sync::{Mutex, MutexGuard};
 
-/// Deterministic (unkeyed) hasher: map iteration order (and so eviction
-/// order) and dedup hashing must not vary between runs, so synthesis stays
-/// reproducible.
-type FixedState = BuildHasherDefault<DefaultHasher>;
-
-/// Hashes a query string with the crate's fixed hasher.
+/// Hashes a query string for the `glade-cachebin` index (`persist.rs`
+/// writes and probes the index with it, so its values are a file format).
 pub(crate) fn hash_query(key: &[u8]) -> u64 {
-    FixedState::default().hash_one(key)
+    BuildHasherDefault::<DefaultHasher>::default().hash_one(key)
+}
+
+/// One folded multiply: the high and low halves of the 128-bit product.
+fn fold(x: u64) -> u64 {
+    let m = u128::from(x) * 0x9e37_79b9_7f4a_7c15;
+    (m as u64) ^ (m >> 64) as u64
+}
+
+/// The in-memory key hash: fixed, unkeyed, and endian-independent (the
+/// bytes are read as little-endian words), one folded multiply per 8
+/// bytes. Keys are compared on their bytes after a hash match, so a
+/// collision costs a comparison, never a wrong verdict.
+pub(crate) fn key_hash(key: &[u8]) -> u64 {
+    let mut h = key.len() as u64;
+    let mut words = key.chunks_exact(8);
+    for w in &mut words {
+        h = fold(h ^ u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+    }
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    fold(fold(h ^ u64::from_le_bytes(tail)))
+}
+
+/// Hands a precomputed [`key_hash`] to the map unchanged.
+#[derive(Default)]
+pub(crate) struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("only precomputed u64 hashes are hashed");
+    }
+
+    fn write_u64(&mut self, h: u64) {
+        self.0 = h;
+    }
+}
+
+pub(crate) type PassThroughState = BuildHasherDefault<PassThrough>;
+
+/// A stored key: its hash and its bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Key {
+    hash: u64,
+    bytes: Box<[u8]>,
+}
+
+/// A key seen as `(hash, bytes)`, so a borrowed pair can look up an owned
+/// [`Key`] without allocating.
+trait HashedKey {
+    fn parts(&self) -> (u64, &[u8]);
+}
+
+impl HashedKey for Key {
+    fn parts(&self) -> (u64, &[u8]) {
+        (self.hash, &self.bytes)
+    }
+}
+
+impl HashedKey for (u64, &[u8]) {
+    fn parts(&self) -> (u64, &[u8]) {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn HashedKey + 'a> for Key {
+    fn borrow(&self) -> &(dyn HashedKey + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn HashedKey + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.parts().0);
+    }
+}
+
+impl PartialEq for dyn HashedKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn HashedKey + '_ {}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
 }
 
 /// One cached verdict plus its second-chance reference bit.
@@ -42,11 +142,11 @@ struct Slot {
 
 #[derive(Debug, Default)]
 struct Shard {
-    map: HashMap<Vec<u8>, Slot, FixedState>,
+    map: HashMap<Key, Slot, PassThroughState>,
     /// Hashes of every key ever inserted. Maintained only when a residency
     /// cap is set: it is what keeps distinct-key counting (and therefore
     /// `unique_queries`) exact after evictions.
-    seen: HashSet<u64, FixedState>,
+    seen: HashSet<u64, PassThroughState>,
     evictions: usize,
 }
 
@@ -79,37 +179,49 @@ impl QueryCache {
 
     /// Looks up a cached verdict.
     pub fn get(&self, key: &[u8]) -> Option<bool> {
+        self.get_hashed(key_hash(key), key)
+    }
+
+    /// Looks up a cached verdict by `key` and its [`key_hash`].
+    pub fn get_hashed(&self, hash: u64, key: &[u8]) -> Option<bool> {
         let mut shard = self.lock();
-        let slot = shard.map.get_mut(key)?;
+        let slot = shard.map.get_mut(&(hash, key) as &dyn HashedKey)?;
         slot.referenced = true;
         Some(slot.verdict)
     }
 
-    /// Records a verdict; returns `true` if the key was never cached
-    /// before (an evicted-and-reinserted key is *not* fresh — it was
-    /// already counted). An already-resident key keeps its original
-    /// verdict (oracles are deterministic, so both verdicts agree).
+    /// Records a verdict; see [`QueryCache::insert_hashed`].
     pub fn insert(&self, key: Vec<u8>, verdict: bool) -> bool {
+        self.insert_hashed(key_hash(&key), key.into_boxed_slice(), verdict)
+    }
+
+    /// Records a verdict for `key` and its [`key_hash`]; returns `true` if
+    /// the key was never cached before (an evicted-and-reinserted key is
+    /// *not* fresh — it was already counted). An already-resident key
+    /// keeps its original verdict (oracles are deterministic, so both
+    /// verdicts agree).
+    pub fn insert_hashed(&self, hash: u64, key: Box<[u8]>, verdict: bool) -> bool {
         let mut guard = self.lock();
         let shard = &mut *guard;
+        let key = Key { hash, bytes: key };
         if shard.map.contains_key(&key) {
             return false;
         }
         if shard.map.len() >= self.cap {
             Self::evict_one(shard);
         }
-        let fresh = self.cap == usize::MAX || shard.seen.insert(hash_query(&key));
+        let fresh = self.cap == usize::MAX || shard.seen.insert(hash);
         shard.map.insert(key, Slot { verdict, referenced: false });
         fresh
     }
 
     /// Evicts one entry from a full map: a second-chance sweep in the
-    /// map's iteration order (deterministic — the hasher is fixed) clears
+    /// map's iteration order (deterministic — the hash is fixed) clears
     /// reference bits until it finds an unreferenced entry; if every
     /// entry had its second chance pending, the first entry goes (its bit
     /// was just cleared, making the next sweep a plain clock pass).
     fn evict_one(shard: &mut Shard) {
-        let mut victim: Option<Vec<u8>> = None;
+        let mut victim: Option<Key> = None;
         for (key, slot) in shard.map.iter_mut() {
             if slot.referenced {
                 slot.referenced = false;
@@ -154,7 +266,7 @@ impl QueryCache {
     /// sorts; sorting here too would be a redundant O(n log n) pass on
     /// every snapshot).
     pub fn snapshot(&self) -> Vec<(Vec<u8>, bool)> {
-        self.lock().map.iter().map(|(k, slot)| (k.clone(), slot.verdict)).collect()
+        self.lock().map.iter().map(|(k, slot)| (k.bytes.to_vec(), slot.verdict)).collect()
     }
 }
 
@@ -304,6 +416,31 @@ mod tests {
     fn hash_is_deterministic() {
         assert_eq!(hash_query(b"abc"), hash_query(b"abc"));
         assert_ne!(hash_query(b"abc"), hash_query(b"abd"));
+        assert_eq!(key_hash(b"abc"), key_hash(b"abc"));
+        assert_ne!(key_hash(b"abc"), key_hash(b"abd"));
+        // Zero padding of the tail word must not alias a shorter key.
+        assert_ne!(key_hash(b"a"), key_hash(b"a\0"));
+        assert_ne!(key_hash(b""), key_hash(b"\0"));
+    }
+
+    #[test]
+    fn hash_query_values_are_a_file_format() {
+        // The `glade-cachebin` index stores these hashes, so changing the
+        // function makes every existing binary snapshot unreadable.
+        assert_eq!(hash_query(b""), 0xbd60_acb6_58c7_9e45);
+        assert_eq!(hash_query(b"a"), 0xbeb9_a6bb_f61b_58b4);
+        assert_eq!(hash_query(b"<a>hi</a>"), 0x8da8_323a_287c_f40c);
+        assert_eq!(hash_query(b"glade-cachebin"), 0xa517_2167_f8d5_9c57);
+    }
+
+    #[test]
+    fn hashed_and_plain_calls_address_the_same_entries() {
+        let c = QueryCache::new();
+        let key = b"<a>hi</a>";
+        assert!(c.insert_hashed(key_hash(key), Box::from(&key[..]), true));
+        assert_eq!(c.get(key), Some(true));
+        assert!(!c.insert(key.to_vec(), false), "same key through the plain path");
+        assert_eq!(c.get_hashed(key_hash(b"<a></a>"), b"<a></a>"), None);
     }
 
     #[test]

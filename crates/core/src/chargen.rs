@@ -54,11 +54,12 @@
 //!   one context per wave, and a candidate rejected in context `k` never
 //!   poses its checks for contexts `k+1..` — the exact strings the
 //!   one-shot plan would have paid distinct queries for.
-//! * **Check canonicalization + dedup.** Distinct `(terminal, position,
-//!   byte, context)` quadruples can assemble byte-identical query strings;
-//!   within a wave these collapse to one posed check whose verdict fans
-//!   back out to every owner, and checks already answered by the session
-//!   cache are folded at plan time without reaching the engine at all.
+//! * **Dedup and cache folds.** Distinct `(terminal, position, byte,
+//!   context)` quadruples can assemble byte-identical query strings. Each
+//!   check is resolved once through the shared `runner::Wave`, which folds
+//!   cache hits at plan time and gives identical strings one slot; the
+//!   planner poses a slot once and its verdict fans back out to every
+//!   owner. The wave is the only place a check is hashed and deduped.
 //!
 //! All three elisions are *exact*: the accepted byte set — and therefore
 //! the synthesized grammar — is byte-identical to the one-shot plan's for
@@ -67,12 +68,11 @@
 //! and the [`SynthEvent::ProbesElided`](crate::SynthEvent::ProbesElided)
 //! event.
 
-use crate::cache::{hash_query, QueryCache};
+use crate::cache::QueryCache;
 use crate::memo::{memo_key, ByteClassMemo};
-use crate::runner::{CheckSpec, QueryRunner};
+use crate::runner::{CheckSpec, Resolved, Wave};
 use crate::tree::{ConstNode, Node};
 use glade_grammar::CharClass;
-use std::collections::HashMap;
 
 /// One planned `(position, candidate byte)` widening probe of one terminal.
 ///
@@ -183,27 +183,6 @@ pub(crate) fn apply_char_probes(
     accepted
 }
 
-/// Widens every terminal position of `trees` against `test_bytes` as one
-/// self-contained aggregated batch (plan → pose → apply).
-///
-/// The session drives the plan/apply halves directly so the batch can also
-/// carry phase two's merge checks; this wrapper serves callers that run the
-/// phase in isolation (tests).
-///
-/// Returns the number of (position, byte) pairs accepted.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn generalize_chars(
-    trees: &mut [Node],
-    runner: &QueryRunner<'_>,
-    test_bytes: &[u8],
-) -> usize {
-    let mut checks: Vec<CheckSpec<'_>> = Vec::new();
-    let plan = plan_char_probes(trees, test_bytes, &mut checks);
-    let verdicts = runner.accepts_batch(&checks);
-    drop(checks);
-    apply_char_probes(trees, &plan, &verdicts)
-}
-
 /// The default test alphabet: printable ASCII plus tab and newline.
 pub(crate) fn default_test_bytes() -> Vec<u8> {
     let mut v: Vec<u8> = (0x20..=0x7eu8).collect();
@@ -238,9 +217,10 @@ struct StagedProbe {
     next_ctx: usize,
 }
 
-/// The owned result of a staged character-generalization run: everything
-/// the session needs after the tree borrow is released.
-#[derive(Debug)]
+/// The owned result of a character-generalization run: everything the
+/// session needs after the tree borrow is released (the one-shot plan
+/// fills only `accepted`).
+#[derive(Debug, Default)]
 pub(crate) struct ChargenOutcome {
     /// Final per-terminal classes, in const visit order over the planned
     /// tree slice.
@@ -275,9 +255,8 @@ pub(crate) struct StagedChargen<'t> {
     consts: Vec<StagedConst<'t>>,
     /// Probes ready to plan their next context.
     active: Vec<StagedProbe>,
-    /// Probes parked on this wave's posed checks, one entry per distinct
-    /// check in planning order (= the wave's verdict order).
-    slots: Vec<Vec<StagedProbe>>,
+    /// Probes parked on this wave's slots, with the slot each awaits.
+    parked: Vec<(usize, StagedProbe)>,
     accepted: usize,
     memo_hits: usize,
     probes_elided: usize,
@@ -302,7 +281,7 @@ impl<'t> StagedChargen<'t> {
             test_bytes,
             consts,
             active: Vec::new(),
-            slots: Vec::new(),
+            parked: Vec::new(),
             accepted: 0,
             memo_hits: 0,
             probes_elided: 0,
@@ -377,14 +356,12 @@ impl<'t> StagedChargen<'t> {
 
     /// Plans the next wave: every live probe either resolves against the
     /// session cache (possibly through several contexts), accepts, dies,
-    /// or poses exactly one check. Returns the number of checks appended;
-    /// zero means the staged run is complete (every probe resolved).
-    pub fn plan_wave(&mut self, checks: &mut Vec<CheckSpec<'t>>, cache: &QueryCache) -> usize {
-        debug_assert!(self.slots.is_empty(), "previous wave not folded");
-        let start = checks.len();
-        let mut dedup: HashMap<u64, Vec<usize>> = HashMap::new();
-        let mut slot_keys: Vec<Vec<u8>> = Vec::new();
-        let mut scratch: Vec<u8> = Vec::new();
+    /// or poses exactly one check into `wave`. Returns the number of checks
+    /// posed; zero means the staged run is complete (every probe resolved).
+    pub fn plan_wave(&mut self, wave: &mut Wave, cache: &QueryCache) -> usize {
+        debug_assert!(self.parked.is_empty(), "previous wave not folded");
+        wave.next_planner();
+        let mut posed = 0usize;
         for mut probe in std::mem::take(&mut self.active) {
             loop {
                 let num_contexts = self.consts[probe.const_idx].node.contexts.len();
@@ -395,59 +372,52 @@ impl<'t> StagedChargen<'t> {
                     self.accepted += 1;
                     break;
                 }
-                let spec = self.check_spec(&probe);
-                scratch.clear();
-                spec.write_into(&mut scratch);
-                match cache.get(&scratch) {
-                    Some(true) => {
+                match wave.resolve(&self.check_spec(&probe), cache) {
+                    Resolved::Cached(true) => {
                         // Cache fold: the one-shot plan would have posed
                         // this (as a cache hit); the probe advances free.
                         self.probes_elided += 1;
                         probe.next_ctx += 1;
                     }
-                    Some(false) => {
+                    Resolved::Cached(false) => {
                         // Rejected: this check and every later context's
                         // are elided; the probe dies.
                         self.probes_elided += num_contexts - probe.next_ctx;
                         break;
                     }
-                    None => {
-                        // A genuine miss: pose it — unless an identical
-                        // string is already posed this wave, in which case
-                        // the probe co-owns that slot's verdict.
-                        let h = hash_query(&scratch);
-                        let candidates = dedup.entry(h).or_default();
-                        if let Some(&s) = candidates.iter().find(|&&s| slot_keys[s] == scratch) {
-                            self.slots[s].push(probe);
+                    r @ Resolved::Slot { slot, repeat } => {
+                        // A genuine miss: pose it — unless this planner
+                        // already posed the identical string this wave, in
+                        // which case the probe co-owns that slot's verdict.
+                        if repeat {
                             self.probes_elided += 1;
                         } else {
-                            candidates.push(self.slots.len());
-                            slot_keys.push(scratch.clone());
-                            self.slots.push(vec![probe]);
-                            checks.push(spec);
+                            wave.count(r);
+                            posed += 1;
                         }
+                        self.parked.push((slot, probe));
                         break;
                     }
                 }
             }
         }
-        checks.len() - start
+        posed
     }
 
-    /// Folds the wave's verdicts (one per check `plan_wave` appended, in
-    /// order) back into the probes: accepted probes advance to their next
-    /// context, rejected probes die and elide their remaining contexts.
-    pub fn fold_wave(&mut self, verdicts: &[bool]) {
-        debug_assert_eq!(verdicts.len(), self.slots.len());
-        for (owners, &verdict) in std::mem::take(&mut self.slots).into_iter().zip(verdicts) {
-            for mut probe in owners {
-                if verdict {
-                    probe.next_ctx += 1;
-                    self.active.push(probe);
-                } else {
-                    let num_contexts = self.consts[probe.const_idx].node.contexts.len();
-                    self.probes_elided += num_contexts - probe.next_ctx - 1;
-                }
+    /// Folds a posed wave's verdicts back into the parked probes: accepted
+    /// probes advance to their next context, rejected probes die and elide
+    /// their remaining contexts. Probes re-activate grouped by slot, in
+    /// slot order, so the next wave plans — and charges budget — in a
+    /// fixed order.
+    pub fn fold_wave(&mut self, wave: &Wave) {
+        self.parked.sort_by_key(|&(slot, _)| slot);
+        for (slot, mut probe) in self.parked.drain(..) {
+            if wave.verdict(slot) {
+                probe.next_ctx += 1;
+                self.active.push(probe);
+            } else {
+                let num_contexts = self.consts[probe.const_idx].node.contexts.len();
+                self.probes_elided += num_contexts - probe.next_ctx - 1;
             }
         }
     }
@@ -455,7 +425,7 @@ impl<'t> StagedChargen<'t> {
     /// Resolves adopted terminals and returns the owned outcome. Call only
     /// after `plan_wave` returned zero.
     pub fn finish(self) -> ChargenOutcome {
-        debug_assert!(self.active.is_empty() && self.slots.is_empty(), "staged run incomplete");
+        debug_assert!(self.active.is_empty() && self.parked.is_empty(), "staged run incomplete");
         let StagedChargen { test_bytes, consts, accepted, memo_hits, probes_elided, .. } = self;
         let mut accepted = accepted;
         let mut classes: Vec<Vec<CharClass>> = Vec::with_capacity(consts.len());
@@ -502,12 +472,28 @@ mod tests {
     use super::*;
     use crate::cache::QueryCache;
     use crate::phase1::Phase1;
-    use crate::runner::RunnerOptions;
+    use crate::runner::{QueryRunner, RunnerOptions};
     use crate::testing::xml_like;
     use crate::{FnOracle, Oracle};
 
     fn test_runner<'s>(oracle: &'s dyn Oracle, cache: &'s QueryCache) -> QueryRunner<'s> {
         QueryRunner::new(oracle, cache, RunnerOptions { workers: 2, ..RunnerOptions::default() })
+    }
+
+    /// Widens every terminal position of `trees` against `test_bytes` as one
+    /// self-contained aggregated batch (plan → pose → apply).
+    ///
+    /// The session drives the plan/apply halves directly so the batch can also
+    /// carry phase two's merge checks; this wrapper serves callers that run the
+    /// phase in isolation (tests).
+    ///
+    /// Returns the number of (position, byte) pairs accepted.
+    fn generalize_chars(trees: &mut [Node], runner: &QueryRunner<'_>, test_bytes: &[u8]) -> usize {
+        let mut checks: Vec<CheckSpec<'_>> = Vec::new();
+        let plan = plan_char_probes(trees, test_bytes, &mut checks);
+        let verdicts = runner.accepts_batch(&checks);
+        drop(checks);
+        apply_char_probes(trees, &plan, &verdicts)
     }
 
     #[test]
@@ -605,13 +591,11 @@ mod tests {
     ) -> (usize, usize, usize) {
         let outcome = {
             let mut staged = StagedChargen::new(trees, test_bytes, memo);
-            loop {
-                let mut checks: Vec<CheckSpec<'_>> = Vec::new();
-                if staged.plan_wave(&mut checks, cache) == 0 {
-                    break;
-                }
-                let verdicts = runner.accepts_batch(&checks);
-                staged.fold_wave(&verdicts);
+            let mut wave = Wave::default();
+            while staged.plan_wave(&mut wave, cache) > 0 {
+                runner.pose(&mut wave);
+                staged.fold_wave(&wave);
+                wave.clear();
             }
             staged.finish()
         };
@@ -661,7 +645,10 @@ mod tests {
         let mut p1 = Phase1::new(&runner, 0);
         let mut trees = vec![p1.generalize_seed(b"<a>hi</a>")];
         let (first_accepted, ..) = run_staged(&mut trees, &runner, &cache, &mut memo, &tb);
-        assert!(memo.len() > 0, "completed run must memoize its probed terminals");
+        assert!(
+            !memo.entries_sorted().is_empty(),
+            "completed run must memoize its probed terminals"
+        );
 
         // Fresh cache, fresh trees, warm memo: every terminal adopts, the
         // runner sees zero chargen checks, and the classes are identical.

@@ -221,10 +221,13 @@ mod tests {
         assert_eq!(stars.len(), 2, "outer tag star and inner (h+i) star");
         // Outer star: the whole seed repeats in the empty context.
         assert_eq!(stars[0].original, b"<a>hi</a>".to_vec());
-        assert_eq!(stars[0].ctx.wrap(b"X"), b"X".to_vec());
+        assert_eq!((&stars[0].ctx.before[..], &stars[0].ctx.after[..]), (&b""[..], &b""[..]));
         // Inner star: "hi" repeats between the tags (Figure 2, step R3).
         assert_eq!(stars[1].original, b"hi".to_vec());
-        assert_eq!(stars[1].ctx.wrap(b"X"), b"<a>X</a>".to_vec());
+        assert_eq!(
+            (&stars[1].ctx.before[..], &stars[1].ctx.after[..]),
+            (&b"<a>"[..], &b"</a>"[..])
+        );
     }
 
     #[test]

@@ -20,11 +20,9 @@
 //! style recursion (Definition 5.2, Proposition 5.3) that no regular
 //! expression captures.
 
-use crate::cache::{hash_query, QueryCache};
-use crate::events::{SynthEvent, SynthesisObserver};
-use crate::runner::{CheckSpec, QueryRunner};
+use crate::cache::QueryCache;
+use crate::runner::{CheckSpec, Resolved, Wave};
 use crate::tree::{Node, StarNode, UnionFind};
-use std::collections::HashMap;
 
 /// Outcome counters for phase two.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -53,8 +51,8 @@ pub(crate) struct MergePlan {
 /// The checks are independent of one another, so they are all described up
 /// front (as borrowed [`CheckSpec`] segments — no residual strings are
 /// materialized) onto the shared check list, where the session aggregates
-/// them with character generalization's probes into one batch that the
-/// [`QueryRunner`] dedups, caches, and fans out across its worker pool.
+/// them with character generalization's probes into one batch, which
+/// `QueryRunner::accepts_batch` dedups, caches, and fans out.
 pub(crate) fn plan_merge_checks<'t>(
     trees: &'t [Node],
     num_stars: usize,
@@ -85,21 +83,11 @@ pub(crate) fn plan_merge_checks<'t>(
 /// The *unions* are applied sequentially in ascending pair order, so the
 /// resulting union-find — and therefore the synthesized grammar — is
 /// byte-identical for every worker count.
-///
-/// Accepted merges are reported to `observer` (when installed) as
-/// [`SynthEvent::MergeAccepted`] events, in the same ascending pair order
-/// the unions are applied in.
-///
-/// Returns the union-find over star ids (indexed `0..num_stars`) and the
-/// counters.
-pub(crate) fn apply_merge_verdicts(
-    plan: &MergePlan,
-    verdicts: &[bool],
-    observer: Option<&dyn SynthesisObserver>,
-) -> (UnionFind, MergeStats) {
+pub(crate) fn apply_merge_verdicts(plan: &MergePlan, verdicts: &[bool]) -> MergeOutcome {
     debug_assert_eq!(verdicts.len(), plan.checks_len);
     let mut uf = UnionFind::new(plan.num_stars);
     let mut stats = MergeStats::default();
+    let mut accepted = Vec::new();
     for (p, &(left, right)) in plan.pairs.iter().enumerate() {
         stats.pairs_tried += 1;
         // The two candidates per pair (Section 5.2): merge, or keep the
@@ -107,19 +95,10 @@ pub(crate) fn apply_merge_verdicts(
         if verdicts[2 * p] && verdicts[2 * p + 1] {
             uf.union(left, right);
             stats.merges_accepted += 1;
-            if let Some(obs) = observer {
-                obs.on_event(&SynthEvent::MergeAccepted { left_star: left, right_star: right });
-            }
+            accepted.push((left, right));
         }
     }
-    (uf, stats)
-}
-
-/// Which of a pair's two cross-substitution checks a posed slot resolves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Which {
-    A,
-    B,
+    MergeOutcome { uf, stats, probes_elided: 0, accepted }
 }
 
 /// Resolution state of one unordered star pair in a staged merge run.
@@ -144,7 +123,7 @@ struct StagedPair<'t> {
     state: PairState,
 }
 
-/// The owned result of a staged merge run.
+/// The owned result of a merge run (one-shot or staged).
 #[derive(Debug)]
 pub(crate) struct MergeOutcome {
     pub uf: UnionFind,
@@ -176,9 +155,9 @@ pub(crate) struct MergeOutcome {
 pub(crate) struct StagedMerge<'t> {
     pairs: Vec<StagedPair<'t>>,
     num_stars: usize,
-    /// `(pair index, which check)` owners parked per posed check this
-    /// wave, in planning order (= the wave's verdict order).
-    slots: Vec<Vec<(usize, Which)>>,
+    /// `(slot, pair index)` parked on this wave's slots; the pair's state
+    /// (`NeedA` or `NeedB`) says which check the slot answers.
+    parked: Vec<(usize, usize)>,
     probes_elided: usize,
 }
 
@@ -207,89 +186,80 @@ impl<'t> StagedMerge<'t> {
                 pairs.push(StagedPair { left: si, right: sj, state });
             }
         }
-        StagedMerge { pairs, num_stars, slots: Vec::new(), probes_elided }
+        StagedMerge { pairs, num_stars, parked: Vec::new(), probes_elided }
     }
 
     /// Plans the next wave: every unresolved pair resolves against the
-    /// session cache as far as possible, then poses at most one check.
-    /// Returns the number of checks appended; zero means every pair is
+    /// session cache as far as possible, then poses at most one check into
+    /// `wave`. Returns the number of checks posed; zero means every pair is
     /// resolved.
-    pub fn plan_wave(&mut self, checks: &mut Vec<CheckSpec<'t>>, cache: &QueryCache) -> usize {
-        debug_assert!(self.slots.is_empty(), "previous wave not folded");
-        let start = checks.len();
-        let mut dedup: HashMap<u64, Vec<usize>> = HashMap::new();
-        let mut slot_keys: Vec<Vec<u8>> = Vec::new();
-        let mut scratch: Vec<u8> = Vec::new();
+    pub fn plan_wave(&mut self, wave: &mut Wave, cache: &QueryCache) -> usize {
+        debug_assert!(self.parked.is_empty(), "previous wave not folded");
+        wave.next_planner();
+        let mut posed = 0usize;
         for idx in 0..self.pairs.len() {
             loop {
-                let which = match self.pairs[idx].state {
-                    PairState::NeedA => Which::A,
-                    PairState::NeedB => Which::B,
+                let pair = &self.pairs[idx];
+                let spec = match pair.state {
+                    PairState::NeedA => {
+                        CheckSpec::wrapped(&pair.left.ctx, &pair.right.residual_parts())
+                    }
+                    PairState::NeedB => {
+                        CheckSpec::wrapped(&pair.right.ctx, &pair.left.residual_parts())
+                    }
                     PairState::PreAccepted | PairState::Done(_) => break,
                 };
-                let pair = &self.pairs[idx];
-                let spec = match which {
-                    Which::A => CheckSpec::wrapped(&pair.left.ctx, &pair.right.residual_parts()),
-                    Which::B => CheckSpec::wrapped(&pair.right.ctx, &pair.left.residual_parts()),
-                };
-                scratch.clear();
-                spec.write_into(&mut scratch);
-                match (cache.get(&scratch), which) {
-                    (Some(true), Which::A) => {
+                let state = &mut self.pairs[idx].state;
+                match (wave.resolve(&spec, cache), *state) {
+                    (Resolved::Cached(true), PairState::NeedA) => {
                         // Cache fold: A passes for free; try B this wave.
                         self.probes_elided += 1;
-                        self.pairs[idx].state = PairState::NeedB;
+                        *state = PairState::NeedB;
                     }
-                    (Some(false), Which::A) => {
+                    (Resolved::Cached(false), PairState::NeedA) => {
                         // A fails: B is never posed either.
                         self.probes_elided += 2;
-                        self.pairs[idx].state = PairState::Done(false);
+                        *state = PairState::Done(false);
                         break;
                     }
-                    (Some(v), Which::B) => {
+                    (Resolved::Cached(v), _) => {
                         self.probes_elided += 1;
-                        self.pairs[idx].state = PairState::Done(v);
+                        *state = PairState::Done(v);
                         break;
                     }
-                    (None, which) => {
-                        let h = hash_query(&scratch);
-                        let candidates = dedup.entry(h).or_default();
-                        if let Some(&s) = candidates.iter().find(|&&s| slot_keys[s] == scratch) {
-                            self.slots[s].push((idx, which));
+                    (r @ Resolved::Slot { slot, repeat }, _) => {
+                        // Pose it, or co-own the slot this planner already
+                        // posed for the identical string.
+                        if repeat {
                             self.probes_elided += 1;
                         } else {
-                            candidates.push(self.slots.len());
-                            slot_keys.push(scratch.clone());
-                            self.slots.push(vec![(idx, which)]);
-                            checks.push(spec);
+                            wave.count(r);
+                            posed += 1;
                         }
+                        self.parked.push((slot, idx));
                         break;
                     }
                 }
             }
         }
-        checks.len() - start
+        posed
     }
 
-    /// Folds the wave's verdicts (one per check `plan_wave` appended, in
-    /// order) back into the pairs: a passed A advances to B (posed next
-    /// wave), a failed A resolves the pair and elides its B check.
-    pub fn fold_wave(&mut self, verdicts: &[bool]) {
-        debug_assert_eq!(verdicts.len(), self.slots.len());
-        for (owners, &verdict) in std::mem::take(&mut self.slots).into_iter().zip(verdicts) {
-            for (idx, which) in owners {
-                match which {
-                    Which::A => {
-                        if verdict {
-                            self.pairs[idx].state = PairState::NeedB;
-                        } else {
-                            self.probes_elided += 1;
-                            self.pairs[idx].state = PairState::Done(false);
-                        }
-                    }
-                    Which::B => self.pairs[idx].state = PairState::Done(verdict),
+    /// Folds a posed wave's verdicts back into the pairs: a passed A
+    /// advances to B (posed next wave), a failed A resolves the pair and
+    /// elides its B check.
+    pub fn fold_wave(&mut self, wave: &Wave) {
+        for (slot, idx) in self.parked.drain(..) {
+            let verdict = wave.verdict(slot);
+            let state = &mut self.pairs[idx].state;
+            *state = match *state {
+                PairState::NeedA if verdict => PairState::NeedB,
+                PairState::NeedA => {
+                    self.probes_elided += 1;
+                    PairState::Done(false)
                 }
-            }
+                _ => PairState::Done(verdict),
+            };
         }
     }
 
@@ -297,7 +267,7 @@ impl<'t> StagedMerge<'t> {
     /// one-shot plan's order) and returns the owned outcome. Call only
     /// after `plan_wave` returned zero.
     pub fn finish(self) -> MergeOutcome {
-        debug_assert!(self.slots.is_empty(), "staged run incomplete");
+        debug_assert!(self.parked.is_empty(), "staged run incomplete");
         let mut uf = UnionFind::new(self.num_stars);
         let mut stats = MergeStats::default();
         let mut accepted: Vec<(usize, usize)> = Vec::new();
@@ -317,30 +287,12 @@ impl<'t> StagedMerge<'t> {
     }
 }
 
-/// Runs the merge phase as one self-contained batch (plan → pose → apply).
-///
-/// The session drives the plan/apply halves directly so the batch can also
-/// carry character generalization's probes; this wrapper serves callers
-/// that run the phase in isolation (tests).
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn merge_stars(
-    trees: &[Node],
-    num_stars: usize,
-    runner: &QueryRunner<'_>,
-    observer: Option<&dyn SynthesisObserver>,
-) -> (UnionFind, MergeStats) {
-    let mut checks: Vec<CheckSpec<'_>> = Vec::new();
-    let plan = plan_merge_checks(trees, num_stars, &mut checks);
-    let verdicts = runner.accepts_batch(&checks);
-    apply_merge_verdicts(&plan, &verdicts, observer)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cache::QueryCache;
     use crate::phase1::Phase1;
-    use crate::runner::RunnerOptions;
+    use crate::runner::{QueryRunner, RunnerOptions};
     use crate::testing::{xml_like, xml_like_with_self_closing};
     use crate::tree::trees_to_grammar;
     use crate::FnOracle;
@@ -348,6 +300,23 @@ mod tests {
 
     fn runner<'s>(oracle: &'s dyn crate::Oracle, cache: &'s QueryCache) -> QueryRunner<'s> {
         QueryRunner::new(oracle, cache, RunnerOptions { workers: 2, ..RunnerOptions::default() })
+    }
+
+    /// Runs the merge phase as one self-contained batch (plan → pose → apply).
+    ///
+    /// The session drives the plan/apply halves directly so the batch can also
+    /// carry character generalization's probes; this wrapper serves callers
+    /// that run the phase in isolation (tests).
+    fn merge_stars(
+        trees: &[Node],
+        num_stars: usize,
+        runner: &QueryRunner<'_>,
+    ) -> (UnionFind, MergeStats) {
+        let mut checks: Vec<CheckSpec<'_>> = Vec::new();
+        let plan = plan_merge_checks(trees, num_stars, &mut checks);
+        let verdicts = runner.accepts_batch(&checks);
+        let outcome = apply_merge_verdicts(&plan, &verdicts);
+        (outcome.uf, outcome.stats)
     }
 
     #[test]
@@ -363,7 +332,7 @@ mod tests {
         assert_eq!(num_stars, 2);
 
         let trees = vec![tree];
-        let (mut uf, stats) = merge_stars(&trees, num_stars, &runner, None);
+        let (mut uf, stats) = merge_stars(&trees, num_stars, &runner);
         assert_eq!(stats.pairs_tried, 1);
         assert_eq!(stats.merges_accepted, 1);
 
@@ -394,7 +363,7 @@ mod tests {
         let tree = p1.generalize_seed(b"xy");
         let num_stars = p1.next_star_id();
         let trees = vec![tree];
-        let (_, stats) = merge_stars(&trees, num_stars, &runner, None);
+        let (_, stats) = merge_stars(&trees, num_stars, &runner);
         assert_eq!(stats.merges_accepted, 1);
     }
 
@@ -414,7 +383,7 @@ mod tests {
         let tree = p1.generalize_seed(b"axb");
         let num_stars = p1.next_star_id();
         let trees = vec![tree];
-        let (mut uf, stats) = merge_stars(&trees, num_stars, &runner, None);
+        let (mut uf, stats) = merge_stars(&trees, num_stars, &runner);
         assert_eq!(stats.merges_accepted, 0);
         let g = trees_to_grammar(&trees, &mut uf);
         let e = Earley::new(&g);
@@ -436,7 +405,7 @@ mod tests {
         let tree = p1.generalize_seed(b"<a><a/></a>");
         let num_stars = p1.next_star_id();
         let trees = vec![tree];
-        let (mut uf, _) = merge_stars(&trees, num_stars, &runner, None);
+        let (mut uf, _) = merge_stars(&trees, num_stars, &runner);
         let g = trees_to_grammar(&trees, &mut uf);
         let e = Earley::new(&g);
         // The synthesized language is a valid subset…
@@ -457,7 +426,7 @@ mod tests {
         let t2 = p1.generalize_seed(b"<a>hi</a>");
         let num_stars = p1.next_star_id();
         let trees = vec![t1, t2];
-        let (mut uf, stats) = merge_stars(&trees, num_stars, &runner, None);
+        let (mut uf, stats) = merge_stars(&trees, num_stars, &runner);
         assert!(stats.merges_accepted > 0);
         let g = trees_to_grammar(&trees, &mut uf);
         let e = Earley::new(&g);
@@ -474,13 +443,11 @@ mod tests {
         cache: &QueryCache,
     ) -> MergeOutcome {
         let mut staged = StagedMerge::new(trees, num_stars);
-        loop {
-            let mut checks: Vec<CheckSpec<'_>> = Vec::new();
-            if staged.plan_wave(&mut checks, cache) == 0 {
-                break;
-            }
-            let verdicts = runner.accepts_batch(&checks);
-            staged.fold_wave(&verdicts);
+        let mut wave = Wave::default();
+        while staged.plan_wave(&mut wave, cache) > 0 {
+            runner.pose(&mut wave);
+            staged.fold_wave(&wave);
+            wave.clear();
         }
         staged.finish()
     }
@@ -496,7 +463,7 @@ mod tests {
         let trees = vec![p1.generalize_seed(b"<a>hi</a>")];
         let num_stars = p1.next_star_id();
 
-        let (legacy_uf, legacy_stats) = merge_stars(&trees, num_stars, &runner, None);
+        let (legacy_uf, legacy_stats) = merge_stars(&trees, num_stars, &runner);
         let outcome = run_staged(&trees, num_stars, &runner, &cache);
         assert_eq!(outcome.stats, legacy_stats);
         let (mut uf_a, mut uf_b) = (legacy_uf, outcome.uf);
@@ -531,7 +498,7 @@ mod tests {
         assert!(outcome.probes_elided >= 2 * 2 + 3, "pre-accepts + folded duplicates");
 
         // And the accept set still matches the one-shot plan's.
-        let (mut legacy_uf, legacy_stats) = merge_stars(&trees, num_stars, &runner, None);
+        let (mut legacy_uf, legacy_stats) = merge_stars(&trees, num_stars, &runner);
         assert_eq!(outcome.stats, legacy_stats);
         let mut uf = outcome.uf;
         for s in 0..num_stars {

@@ -3,44 +3,38 @@
 //!
 //! The paper measures synthesis cost purely in membership queries, and the
 //! query layer dominates wall-clock time for any real target (each query
-//! runs the program under test). This module is therefore built for
-//! concurrency end to end:
+//! runs the program under test). A check flows through it once:
 //!
-//! * the query cache is a single mutex-guarded [`QueryCache`] owned by the
-//!   [`Session`](crate::Session) — it outlives any single run, so
-//!   incremental `add_seeds` calls and warm-started runs (see
-//!   `persist.rs`) answer repeated checks without re-paying oracle calls —
-//!   and all counters are atomics, making [`QueryRunner`] `Sync`;
 //! * callers describe checks as segment lists ([`CheckSpec`]) instead of
-//!   pre-concatenated strings, so check construction writes into one
-//!   reusable scratch buffer and allocates only for genuine cache misses;
-//! * a partially loaded binary snapshot ([`BackingStore`], see
-//!   `persist::BinaryCacheFile`) sits between the in-memory cache and the
-//!   oracle: misses consult its on-disk index before paying an oracle
-//!   call, and hits are faulted into the cache on demand — so a multi-GB
-//!   warm-start snapshot costs index probes for the entries a campaign
-//!   actually revisits instead of an up-front full materialization;
-//! * [`QueryRunner::accepts_batch`] deduplicates a batch, consults the
-//!   cache once per distinct check, and fans the remaining misses out
-//!   across a scoped worker pool (`std::thread::scope` — no dependencies);
-//! * dispatch inside a batch is **work-stealing**: workers pull the next
-//!   un-posed miss from a shared atomic cursor instead of owning a static
-//!   chunk, so one slow query (real oracles have heavy-tailed latencies —
-//!   a pathological input can take 100× the median) delays only the worker
-//!   running it while the rest drain the remaining misses;
+//!   pre-concatenated strings. A [`Wave`] writes each into one reusable
+//!   scratch buffer, hashes it once, folds cache hits, dedups the misses
+//!   by (hash, bytes) and allocates a key only for a new distinct miss.
+//!   The staged chargen and merge planners fill a wave directly;
+//!   [`QueryRunner::accepts_batch`] wraps one for phase one, the memo-off
+//!   one-shot plan and tests;
+//! * [`QueryRunner::pose`] answers the wave's distinct misses: from a
+//!   partially loaded binary snapshot ([`BackingStore`], see
+//!   `persist::BinaryCacheFile`) whose hits are faulted into the cache on
+//!   demand, or from the oracle after charging the budget in slot order.
+//!   Each answered key then moves into the session's [`QueryCache`] with
+//!   its hash. The cache outlives any single run, so incremental
+//!   `add_seeds` calls and warm-started runs (see `persist.rs`) answer
+//!   repeated checks without re-paying oracle calls;
+//! * dispatch is **work-stealing**: scoped worker threads
+//!   (`std::thread::scope`) pull the next un-posed miss from a shared
+//!   atomic cursor, so one slow query delays only the worker running it;
 //! * oracles that multiplex batches natively ([`Oracle::native_batching`],
-//!   e.g. the pooled process oracle's `poll(2)` dispatcher over batched
-//!   protocol frames) are instead handed the whole miss set from the
-//!   calling thread in bounded sub-batches — no engine thread is parked
-//!   per in-flight query, and the oracle keeps its own worker processes
-//!   saturated regardless of the engine's `worker_threads` setting.
+//!   e.g. the pooled process oracle's `poll(2)` dispatcher) are instead
+//!   handed the whole miss set from the calling thread in bounded
+//!   sub-batches, so no engine thread is parked per in-flight query.
 //!
 //! The runner is also the engine's observation and cancellation point:
-//! every batch emits a [`SynthEvent::QueryBatch`] to the installed
+//! every posed wave emits a [`SynthEvent::QueryBatch`] to the installed
 //! observer, budget exhaustion and cancellation emit their events exactly
 //! once, and a [`CancelToken`] is checked both at budget-reservation time
 //! and between the queries of an in-flight batch — cancellation takes the
-//! same fail-closed path as the deadline.
+//! same fail-closed path as the deadline. All counters are atomics, making
+//! [`QueryRunner`] `Sync`.
 //!
 //! Determinism: with no time limit and no cancellation, batch results
 //! depend only on the oracle (which must be deterministic, see
@@ -52,14 +46,14 @@
 //! speed, so degraded runs are reproducible only in their guarantees
 //! (fail-closed, seeds preserved), not byte-for-byte.
 
-use crate::cache::{hash_query, QueryCache};
+use crate::cache::{key_hash, PassThroughState, QueryCache};
 use crate::events::{CancelToken, SynthEvent, SynthesisObserver};
 use crate::persist::BinaryCacheFile;
 use crate::tree::Context;
 use crate::Oracle;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Maximum number of byte-slice segments in a [`CheckSpec`].
@@ -80,13 +74,9 @@ const MIN_PARALLEL_MISSES: usize = 4;
 /// latency stays in the tens-of-milliseconds range for real targets.
 const NATIVE_DISPATCH_SUB_BATCH: usize = 1024;
 
-/// A membership check described as a concatenation of byte slices, built
-/// without allocating.
-///
-/// `CheckSpec` replaces the seed implementation's per-candidate
-/// `Vec::concat` + `Context::wrap` allocations: the segments are borrowed
-/// from the seed string and the context, and are materialized into a
-/// reusable scratch buffer only at lookup time.
+/// A membership check described as a concatenation of byte slices
+/// borrowed from the seed string and the context, built without
+/// allocating; a [`Wave`] materializes it into a reusable scratch buffer.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CheckSpec<'a> {
     segments: [&'a [u8]; MAX_SEGMENTS],
@@ -121,6 +111,126 @@ impl<'a> CheckSpec<'a> {
     }
 }
 
+/// One planned wave of membership checks, from the planners to the cache.
+///
+/// [`Wave::resolve`] writes each check once into a reused scratch buffer,
+/// hashes it once ([`key_hash`]) and resolves it once: a cache hit, or a
+/// *slot* — one distinct miss, found by (hash, bytes), that owns its key.
+/// [`QueryRunner::pose`] answers every slot and moves each key into the
+/// cache with its hash; [`Wave::verdict`] then reads the answers until
+/// [`Wave::clear`] starts the next wave.
+///
+/// Resolving a check does not count it, because callers charge checks
+/// differently. [`QueryRunner::accepts_batch`] counts every check it is
+/// handed, cache hits as cached. The staged planners (`chargen.rs`,
+/// `phase2.rs`) fold cache hits and their own repeats at plan time and
+/// count only the checks they pose; each starts with
+/// [`Wave::next_planner`], so a string that an earlier planner of the same
+/// wave posed is counted again (both posed it) but shares the slot.
+#[derive(Debug, Default)]
+pub(crate) struct Wave {
+    scratch: Vec<u8>,
+    slots: Vec<WaveSlot>,
+    /// First slot per key hash; slots with equal hashes chain by `next`.
+    index: HashMap<u64, u32, PassThroughState>,
+    planner: u32,
+    /// Checks counted, and how many of them the cache answered.
+    checks: usize,
+    cached: usize,
+}
+
+/// One distinct miss of a [`Wave`].
+#[derive(Debug)]
+struct WaveSlot {
+    hash: u64,
+    /// Moved into the cache once the oracle answers.
+    key: Box<[u8]>,
+    /// Counted checks this slot answers.
+    checks: u32,
+    /// The last planner that counted a check here (`u32::MAX` = none).
+    counted_by: u32,
+    /// Next slot with the same hash (`u32::MAX` = none).
+    next: u32,
+    /// `false` until answered; over-budget and skipped slots stay `false`.
+    verdict: bool,
+}
+
+/// How a check resolved in a [`Wave`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Resolved {
+    /// Answered by the cache at plan time.
+    Cached(bool),
+    /// Answered by [`Wave::verdict`] of `slot` once the wave is posed;
+    /// `repeat` means the current planner already counted this slot.
+    Slot { slot: usize, repeat: bool },
+}
+
+impl Wave {
+    /// Empties the wave for the next round, keeping its buffers.
+    pub fn clear(&mut self) {
+        self.slots.clear();
+        self.index.clear();
+        (self.planner, self.checks, self.cached) = (0, 0, 0);
+    }
+
+    /// Starts the next planner's checks (see the type docs).
+    pub fn next_planner(&mut self) {
+        self.planner += 1;
+    }
+
+    /// Writes, hashes and resolves one check against `cache` and the
+    /// wave's slots, opening a slot for a new distinct miss.
+    pub fn resolve(&mut self, spec: &CheckSpec<'_>, cache: &QueryCache) -> Resolved {
+        self.scratch.clear();
+        spec.write_into(&mut self.scratch);
+        let hash = key_hash(&self.scratch);
+        if let Some(v) = cache.get_hashed(hash, &self.scratch) {
+            return Resolved::Cached(v);
+        }
+        let head = self.index.get(&hash).copied().unwrap_or(u32::MAX);
+        let mut s = head;
+        while s != u32::MAX {
+            let slot = &self.slots[s as usize];
+            if *slot.key == *self.scratch {
+                return Resolved::Slot {
+                    slot: s as usize,
+                    repeat: slot.counted_by == self.planner,
+                };
+            }
+            s = slot.next;
+        }
+        let slot = self.slots.len();
+        self.index.insert(hash, slot as u32);
+        self.slots.push(WaveSlot {
+            hash,
+            key: self.scratch.as_slice().into(),
+            checks: 0,
+            counted_by: u32::MAX,
+            next: head,
+            verdict: false,
+        });
+        Resolved::Slot { slot, repeat: false }
+    }
+
+    /// Counts one posed check answered by `resolved`.
+    pub fn count(&mut self, resolved: Resolved) {
+        self.checks += 1;
+        match resolved {
+            Resolved::Cached(_) => self.cached += 1,
+            Resolved::Slot { slot, .. } => {
+                let slot = &mut self.slots[slot];
+                slot.checks += 1;
+                slot.counted_by = self.planner;
+            }
+        }
+    }
+
+    /// The verdict of a posed slot.
+    pub fn verdict(&self, slot: usize) -> bool {
+        self.slots[slot].verdict
+    }
+}
+
 /// A partially loaded binary cache snapshot serving as a read-only
 /// second cache level.
 ///
@@ -148,12 +258,13 @@ impl BackingStore {
 
 /// Construction-time knobs for a [`QueryRunner`], separate from the
 /// borrowed oracle and cache so call sites stay readable.
+#[derive(Default)]
 pub(crate) struct RunnerOptions<'s> {
     /// Distinct-query budget for this run (`None` = unlimited).
     pub max_queries: Option<usize>,
     /// Wall-clock limit for this run.
     pub time_limit: Option<Duration>,
-    /// Worker threads used by `accepts_batch` (1 = fully sequential).
+    /// Worker threads used to dispatch misses (0 or 1 = fully sequential).
     pub workers: usize,
     /// Progress observer; receives `QueryBatch`/`BudgetExhausted`/
     /// `Cancelled` events.
@@ -162,19 +273,6 @@ pub(crate) struct RunnerOptions<'s> {
     pub cancel: Option<&'s CancelToken>,
     /// Session-owned partially loaded snapshot consulted on cache misses.
     pub backing: Option<&'s Mutex<BackingStore>>,
-}
-
-impl Default for RunnerOptions<'_> {
-    fn default() -> Self {
-        RunnerOptions {
-            max_queries: None,
-            time_limit: None,
-            workers: 1,
-            observer: None,
-            cancel: None,
-            backing: None,
-        }
-    }
 }
 
 /// Internal oracle front-end enforcing the query/time budget and the
@@ -212,30 +310,44 @@ pub(crate) struct QueryRunner<'s> {
     /// One-shot latches so `BudgetExhausted`/`Cancelled` are emitted once.
     budget_event_sent: AtomicBool,
     cancel_event_sent: AtomicBool,
-    /// Worker threads used by `accepts_batch` (1 = fully sequential).
+    /// Worker threads used to dispatch misses (1 = fully sequential).
     workers: usize,
-    /// Oracle execution failures already accumulated before this run, so
-    /// the runner reports per-run deltas (see [`Oracle::failure_count`]).
-    failures_at_start: usize,
-    /// Failures already surfaced through `SynthEvent::OracleFailures`.
-    failures_reported: AtomicUsize,
-    /// Pre-run baselines and already-surfaced marks for the oracle health
-    /// counters (deadline timeouts, breaker trips/recoveries), mirroring
-    /// the failure-count delta reporting above.
-    timeouts_at_start: usize,
-    timeouts_reported: AtomicUsize,
-    trips_at_start: usize,
-    trips_reported: AtomicUsize,
-    recoveries_at_start: usize,
-    recoveries_reported: AtomicUsize,
+    /// Oracle health counters as this run sees them: execution failures
+    /// ([`Oracle::failure_count`]), deadline timeouts, breaker trips and
+    /// recoveries.
+    failures: RunCounter,
+    timeouts: RunCounter,
+    trips: RunCounter,
+    recoveries: RunCounter,
+}
+
+/// One oracle health counter seen by a run: its value when the run
+/// started, and the value already surfaced in an event.
+struct RunCounter {
+    at_start: usize,
+    reported: AtomicUsize,
+}
+
+impl RunCounter {
+    fn new(at_start: usize) -> Self {
+        RunCounter { at_start, reported: AtomicUsize::new(at_start) }
+    }
+
+    /// Marks `current` as surfaced; returns `(growth since the last
+    /// report, growth this run)` when the counter grew.
+    fn grew(&self, current: usize) -> Option<(usize, usize)> {
+        let previous = self.reported.swap(current, Ordering::Relaxed);
+        (current > previous).then(|| (current - previous, current - self.at_start))
+    }
+
+    /// Growth this run.
+    fn this_run(&self, current: usize) -> usize {
+        current.saturating_sub(self.at_start)
+    }
 }
 
 impl<'s> QueryRunner<'s> {
     pub fn new(oracle: &'s dyn Oracle, cache: &'s QueryCache, opts: RunnerOptions<'s>) -> Self {
-        let failures_at_start = oracle.failure_count();
-        let timeouts_at_start = oracle.timed_out_count();
-        let trips_at_start = oracle.tripped_worker_count();
-        let recoveries_at_start = oracle.recovered_worker_count();
         QueryRunner {
             oracle,
             cache,
@@ -251,14 +363,10 @@ impl<'s> QueryRunner<'s> {
             budget_event_sent: AtomicBool::new(false),
             cancel_event_sent: AtomicBool::new(false),
             workers: opts.workers.max(1),
-            failures_at_start,
-            failures_reported: AtomicUsize::new(failures_at_start),
-            timeouts_at_start,
-            timeouts_reported: AtomicUsize::new(timeouts_at_start),
-            trips_at_start,
-            trips_reported: AtomicUsize::new(trips_at_start),
-            recoveries_at_start,
-            recoveries_reported: AtomicUsize::new(recoveries_at_start),
+            failures: RunCounter::new(oracle.failure_count()),
+            timeouts: RunCounter::new(oracle.timed_out_count()),
+            trips: RunCounter::new(oracle.tripped_worker_count()),
+            recoveries: RunCounter::new(oracle.recovered_worker_count()),
         }
     }
 
@@ -281,61 +389,35 @@ impl<'s> QueryRunner<'s> {
         }
     }
 
-    /// Whether the cancel token has been flipped.
-    fn cancel_requested(&self) -> bool {
-        self.cancel.is_some_and(CancelToken::is_cancelled)
-    }
-
-    /// Surfaces newly observed oracle execution failures (see
-    /// [`Oracle::failure_count`]) as a [`SynthEvent::OracleFailures`]
-    /// event. Called after every batch; emits only when the count grew.
-    fn report_oracle_failures(&self) {
-        let current = self.oracle.failure_count();
-        let previous = self.failures_reported.swap(current, Ordering::Relaxed);
-        if current > previous {
-            self.emit(SynthEvent::OracleFailures {
-                new_failures: current - previous,
-                run_failures: current - self.failures_at_start,
-            });
-        }
-    }
-
     /// Oracle execution failures observed during this run (queries whose
     /// verdict could not be obtained and degraded to `false`).
     pub fn oracle_failures(&self) -> usize {
-        self.oracle.failure_count().saturating_sub(self.failures_at_start)
+        self.failures.this_run(self.oracle.failure_count())
     }
 
-    /// Surfaces newly observed oracle health transitions — deadline
-    /// timeouts ([`SynthEvent::WorkerHung`]), breaker trips
+    /// Surfaces newly observed oracle health transitions — execution
+    /// failures ([`SynthEvent::OracleFailures`], see
+    /// [`Oracle::failure_count`]), deadline timeouts
+    /// ([`SynthEvent::WorkerHung`]), breaker trips
     /// ([`SynthEvent::BreakerTripped`]) and recoveries
-    /// ([`SynthEvent::BreakerRecovered`]) — with the same swap-delta
-    /// pattern as [`QueryRunner::report_oracle_failures`]. Called after
-    /// every batch; emits only when a counter grew.
+    /// ([`SynthEvent::BreakerRecovered`]). Called after every batch; emits
+    /// only for a counter that grew.
     fn report_oracle_health(&self) {
-        let current = self.oracle.timed_out_count();
-        let previous = self.timeouts_reported.swap(current, Ordering::Relaxed);
-        if current > previous {
-            self.emit(SynthEvent::WorkerHung {
-                new_timeouts: current - previous,
-                run_timeouts: current - self.timeouts_at_start,
-            });
+        if let Some((new_failures, run_failures)) = self.failures.grew(self.oracle.failure_count())
+        {
+            self.emit(SynthEvent::OracleFailures { new_failures, run_failures });
         }
-        let current = self.oracle.tripped_worker_count();
-        let previous = self.trips_reported.swap(current, Ordering::Relaxed);
-        if current > previous {
-            self.emit(SynthEvent::BreakerTripped {
-                new_trips: current - previous,
-                run_trips: current - self.trips_at_start,
-            });
+        if let Some((new_timeouts, run_timeouts)) =
+            self.timeouts.grew(self.oracle.timed_out_count())
+        {
+            self.emit(SynthEvent::WorkerHung { new_timeouts, run_timeouts });
         }
-        let current = self.oracle.recovered_worker_count();
-        let previous = self.recoveries_reported.swap(current, Ordering::Relaxed);
-        if current > previous {
-            self.emit(SynthEvent::BreakerRecovered {
-                new_recoveries: current - previous,
-                run_recoveries: current - self.recoveries_at_start,
-            });
+        if let Some((new_trips, run_trips)) = self.trips.grew(self.oracle.tripped_worker_count()) {
+            self.emit(SynthEvent::BreakerTripped { new_trips, run_trips });
+        }
+        let recovered = self.oracle.recovered_worker_count();
+        if let Some((new_recoveries, run_recoveries)) = self.recoveries.grew(recovered) {
+            self.emit(SynthEvent::BreakerRecovered { new_recoveries, run_recoveries });
         }
     }
 
@@ -343,25 +425,28 @@ impl<'s> QueryRunner<'s> {
     /// was also retried or degraded, so it is *additionally* visible in
     /// [`QueryRunner::oracle_failures`] unless rescued).
     pub fn timed_out_queries(&self) -> usize {
-        self.oracle.timed_out_count().saturating_sub(self.timeouts_at_start)
+        self.timeouts.this_run(self.oracle.timed_out_count())
     }
 
     /// Worker-slot circuit-breaker trips during this run.
     pub fn tripped_workers(&self) -> usize {
-        self.oracle.tripped_worker_count().saturating_sub(self.trips_at_start)
+        self.trips.this_run(self.oracle.tripped_worker_count())
+    }
+
+    /// Whether the cancel token flipped or the deadline passed; trips the
+    /// fail-closed flag (emitting its event once) if so.
+    fn must_stop(&self) -> bool {
+        let cancelled = self.cancel.is_some_and(CancelToken::is_cancelled);
+        if cancelled || self.deadline.is_some_and(|d| Instant::now() >= d) {
+            self.trip_exhausted(cancelled);
+            return true;
+        }
+        false
     }
 
     /// Reserves one budget slot, or trips the exhausted flag and fails.
     fn reserve_budget(&self) -> bool {
-        if self.cancel_requested() {
-            self.trip_exhausted(true);
-            return false;
-        }
-        if self.exhausted.load(Ordering::Relaxed) {
-            return false;
-        }
-        if self.deadline.is_some_and(|d| Instant::now() >= d) {
-            self.trip_exhausted(false);
+        if self.must_stop() || self.exhausted.load(Ordering::Relaxed) {
             return false;
         }
         let reserved = self
@@ -382,12 +467,12 @@ impl<'s> QueryRunner<'s> {
     /// per distinct entry — a re-fault after eviction is answered but not
     /// re-counted. I/O errors on a damaged file degrade to a miss: the
     /// oracle re-answers, trading queries for availability.
-    fn backing_lookup(&self, key: &[u8]) -> Option<bool> {
+    fn backing_lookup(&self, hash: u64, key: &[u8]) -> Option<bool> {
         let store = self.backing?;
         let mut store = store.lock().expect("backing cache poisoned");
         match store.file.lookup(key) {
             Ok(Some(v)) => {
-                if self.cache.insert(key.to_vec(), v) {
+                if self.cache.insert_hashed(hash, key.into(), v) {
                     store.faulted += 1;
                 }
                 Some(v)
@@ -396,93 +481,82 @@ impl<'s> QueryRunner<'s> {
         }
     }
 
-    /// Budget-aware membership query (single-check form of
-    /// [`QueryRunner::accepts_batch`]; the synthesis phases all batch, so
-    /// production builds reach this only through the batch path).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn accepts(&self, input: &[u8]) -> bool {
-        self.total.fetch_add(1, Ordering::Relaxed);
-        if let Some(v) = self.cache.get(input) {
-            return v;
-        }
-        // Backing-snapshot hits are warm answers: not budgeted.
-        if let Some(v) = self.backing_lookup(input) {
-            return v;
-        }
-        if !self.reserve_budget() {
-            return false;
-        }
-        // Execution failures answer `false` but are not cached.
-        let Some(v) = self.oracle.accepts_checked(input) else { return false };
-        self.cache.insert(input.to_vec(), v);
-        v
-    }
-
-    /// Budget-aware batched membership query.
-    ///
-    /// Deduplicates `checks`, answers what it can from the cache, reserves
-    /// budget for the distinct misses (misses beyond the budget answer
-    /// `false`, exactly like [`QueryRunner::accepts`]), then dispatches the
-    /// misses across up to `workers` scoped threads. Results are returned
-    /// in input order and are identical for every worker count. When an
-    /// observer is installed, one [`SynthEvent::QueryBatch`] is emitted per
-    /// call with the batch/cached/posed breakdown.
+    /// Budget-aware batched membership query: plans `checks` as one
+    /// [`Wave`] (every check counted, cache hits as cached) and poses it.
+    /// Results are returned in input order and are identical for every
+    /// worker count.
     ///
     /// Budget note: a batch charges every distinct miss it poses. Callers
     /// that previously short-circuited (stop at the first failing check of
     /// a candidate) now pay for the whole batch — that is the price of
     /// posing the checks concurrently, and it is the same in sequential
     /// mode so query counts stay worker-count-independent.
+    pub fn accepts_batch(&self, checks: &[CheckSpec<'_>]) -> Vec<bool> {
+        let mut wave = Wave::default();
+        let resolved: Vec<Resolved> = checks
+            .iter()
+            .map(|spec| {
+                let r = wave.resolve(spec, self.cache);
+                wave.count(r);
+                r
+            })
+            .collect();
+        self.pose(&mut wave);
+        let answer = |r| match r {
+            Resolved::Cached(v) => v,
+            Resolved::Slot { slot, .. } => wave.verdict(slot),
+        };
+        resolved.into_iter().map(answer).collect()
+    }
+
+    /// Poses a planned [`Wave`]. Slots are taken in order: a backing
+    /// snapshot hit answers a slot (counted as cached, never budgeted);
+    /// otherwise the slot reserves one unit of budget and goes to the
+    /// oracle, and a slot over budget answers `false`. Every real verdict
+    /// then moves into the cache with its key and hash. When an observer
+    /// is installed, one [`SynthEvent::QueryBatch`] reports the wave's
+    /// counted checks, cached and posed.
     ///
     /// The time budget and the cancel token are enforced during execution
     /// too: once the deadline passes or the token flips, remaining misses
     /// are skipped (answering `false`, *not* cached — only real oracle
     /// verdicts enter the cache) and the runner is marked exhausted.
-    pub fn accepts_batch(&self, checks: &[CheckSpec<'_>]) -> Vec<bool> {
-        let mut results = vec![false; checks.len()];
-        // Distinct cache misses to send to the oracle, with the positions
-        // in `checks` each one answers. `dedup` buckets candidate miss
-        // indices by hash; equality is confirmed on the bytes.
-        let mut miss_keys: Vec<Vec<u8>> = Vec::new();
-        let mut miss_targets: Vec<Vec<usize>> = Vec::new();
-        let mut dedup: HashMap<u64, Vec<usize>> = HashMap::new();
-        let mut scratch: Vec<u8> = Vec::new();
-        let mut cached = 0usize;
-
-        for (i, spec) in checks.iter().enumerate() {
-            self.total.fetch_add(1, Ordering::Relaxed);
-            scratch.clear();
-            spec.write_into(&mut scratch);
-            if let Some(v) = self.cache.get(&scratch) {
-                results[i] = v;
-                cached += 1;
-                continue;
+    pub fn pose(&self, wave: &mut Wave) {
+        self.total.fetch_add(wave.checks, Ordering::Relaxed);
+        let mut cached = wave.cached;
+        let mut misses: Vec<usize> = Vec::with_capacity(wave.slots.len());
+        for (s, slot) in wave.slots.iter_mut().enumerate() {
+            if let Some(v) = self.backing_lookup(slot.hash, &slot.key) {
+                slot.verdict = v;
+                cached += slot.checks as usize;
+            } else if self.reserve_budget() {
+                misses.push(s);
             }
-            let h = hash_query(&scratch);
-            if let Some(candidates) = dedup.get(&h) {
-                if let Some(&m) = candidates.iter().find(|&&m| miss_keys[m] == scratch) {
-                    miss_targets[m].push(i);
-                    continue;
-                }
-            }
-            // Backing-snapshot hits are warm answers: counted as cached,
-            // not budgeted, never posed. The fault inserts the entry into
-            // the cache, so later duplicates in this batch hit there.
-            if let Some(v) = self.backing_lookup(&scratch) {
-                results[i] = v;
-                cached += 1;
-                continue;
-            }
-            if !self.reserve_budget() {
-                // Over budget: this check (and its later duplicates, which
-                // re-enter here and fail the same way) answers false.
-                continue;
-            }
-            dedup.entry(h).or_default().push(miss_keys.len());
-            miss_targets.push(vec![i]);
-            miss_keys.push(scratch.clone());
         }
+        let keys: Vec<&[u8]> = misses.iter().map(|&s| &*wave.slots[s].key).collect();
+        let verdicts = self.dispatch(&keys);
+        drop(keys);
+        self.report_oracle_health();
 
+        if self.observer.is_some() {
+            // `posed` counts misses that actually reached the oracle —
+            // slots left `None` were skipped by the deadline or a cancel.
+            self.emit(SynthEvent::QueryBatch {
+                checks: wave.checks,
+                cached,
+                posed: verdicts.iter().flatten().count(),
+            });
+        }
+        for (s, verdict) in misses.into_iter().zip(verdicts) {
+            let Some(verdict) = verdict else { continue };
+            let slot = &mut wave.slots[s];
+            slot.verdict = verdict;
+            self.cache.insert_hashed(slot.hash, std::mem::take(&mut slot.key), verdict);
+        }
+    }
+
+    /// Answers each distinct miss in `keys` through the oracle.
+    fn dispatch(&self, keys: &[&[u8]]) -> Vec<Option<bool>> {
         // Dispatch the distinct misses. Two strategies, same results:
         //
         // * **Native batch dispatch** — oracles that multiplex a whole
@@ -506,57 +580,39 @@ impl<'s> QueryRunner<'s> {
         // execution failure: it answers `false` but is not cached (only
         // real oracle verdicts may enter the cache, or a persisted
         // snapshot would poison every warm start).
-        let verdicts: Vec<Option<bool>> = if self.oracle.native_batching() {
-            let mut verdicts: Vec<Option<bool>> = vec![None; miss_keys.len()];
-            for start in (0..miss_keys.len()).step_by(NATIVE_DISPATCH_SUB_BATCH) {
-                if self.cancel_requested() {
-                    self.trip_exhausted(true);
+        if self.oracle.native_batching() {
+            let mut verdicts: Vec<Option<bool>> = vec![None; keys.len()];
+            for start in (0..keys.len()).step_by(NATIVE_DISPATCH_SUB_BATCH) {
+                if self.must_stop() {
                     break;
                 }
-                if self.deadline.is_some_and(|d| Instant::now() >= d) {
-                    self.trip_exhausted(false);
-                    break;
-                }
-                let end = (start + NATIVE_DISPATCH_SUB_BATCH).min(miss_keys.len());
-                let refs: Vec<&[u8]> = miss_keys[start..end].iter().map(Vec::as_slice).collect();
-                let answers = self.oracle.accepts_batch_checked(&refs);
-                debug_assert_eq!(answers.len(), refs.len());
+                let end = (start + NATIVE_DISPATCH_SUB_BATCH).min(keys.len());
+                let answers = self.oracle.accepts_batch_checked(&keys[start..end]);
+                debug_assert_eq!(answers.len(), end - start);
                 verdicts[start..end].copy_from_slice(&answers);
             }
             verdicts
         } else {
-            const SLOT_SKIPPED: u8 = 0;
-            const SLOT_REJECT: u8 = 1;
-            const SLOT_ACCEPT: u8 = 2;
-            let slots: Vec<AtomicU8> =
-                miss_keys.iter().map(|_| AtomicU8::new(SLOT_SKIPPED)).collect();
+            let slots: Vec<OnceLock<bool>> = keys.iter().map(|_| OnceLock::new()).collect();
             let cursor = AtomicUsize::new(0);
             let steal_loop = || loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= miss_keys.len() {
+                if i >= keys.len() {
                     break;
                 }
-                if self.cancel_requested() {
-                    self.trip_exhausted(true);
+                if self.must_stop() {
                     break;
                 }
-                if self.deadline.is_some_and(|d| Instant::now() >= d) {
-                    self.trip_exhausted(false);
-                    break;
-                }
-                if let Some(v) = self.oracle.accepts_checked(&miss_keys[i]) {
-                    slots[i].store(if v { SLOT_ACCEPT } else { SLOT_REJECT }, Ordering::Relaxed);
+                if let Some(v) = self.oracle.accepts_checked(keys[i]) {
+                    let _ = slots[i].set(v);
                 }
             };
             // Spawning threads costs tens of microseconds; only fan out
             // when the batch is big enough to amortize it (tiny batches —
             // e.g. phase 1's residual pairs against an in-process oracle —
             // run inline). Results are identical either way.
-            let threads = if miss_keys.len() >= MIN_PARALLEL_MISSES {
-                self.workers.min(miss_keys.len())
-            } else {
-                1
-            };
+            let threads =
+                if keys.len() >= MIN_PARALLEL_MISSES { self.workers.min(keys.len()) } else { 1 };
             if threads > 1 {
                 std::thread::scope(|scope| {
                     for _ in 0..threads {
@@ -566,35 +622,8 @@ impl<'s> QueryRunner<'s> {
             } else {
                 steal_loop();
             }
-            slots
-                .iter()
-                .map(|s| match s.load(Ordering::Relaxed) {
-                    SLOT_SKIPPED => None,
-                    v => Some(v == SLOT_ACCEPT),
-                })
-                .collect()
-        };
-        self.report_oracle_failures();
-        self.report_oracle_health();
-
-        if self.observer.is_some() {
-            // `posed` counts misses that actually reached the oracle —
-            // slots left `None` were skipped by the deadline or a cancel.
-            self.emit(SynthEvent::QueryBatch {
-                checks: checks.len(),
-                cached,
-                posed: verdicts.iter().filter(|v| v.is_some()).count(),
-            });
+            slots.into_iter().map(OnceLock::into_inner).collect()
         }
-
-        for ((key, verdict), targets) in miss_keys.into_iter().zip(verdicts).zip(miss_targets) {
-            let Some(verdict) = verdict else { continue };
-            self.cache.insert(key, verdict);
-            for i in targets {
-                results[i] = verdict;
-            }
-        }
-        results
     }
 
     /// Unbudgeted query used for seed validation (seeds must be consulted
@@ -602,17 +631,18 @@ impl<'s> QueryRunner<'s> {
     /// charged against `max_queries`, and ignores cancellation — a
     /// returned `Synthesis` must always have validated its seeds.
     pub fn accepts_unbudgeted(&self, input: &[u8]) -> bool {
-        if let Some(v) = self.cache.get(input) {
+        let hash = key_hash(input);
+        if let Some(v) = self.cache.get_hashed(hash, input) {
             return v;
         }
-        if let Some(v) = self.backing_lookup(input) {
+        if let Some(v) = self.backing_lookup(hash, input) {
             return v;
         }
         // A seed whose validation *execution* fails is rejected (the
         // premise `E_in ⊆ L*` cannot be confirmed) without caching the
         // non-verdict.
         let Some(v) = self.oracle.accepts_checked(input) else { return false };
-        self.cache.insert(input.to_vec(), v);
+        self.cache.insert_hashed(hash, input.into(), v);
         v
     }
 
@@ -648,6 +678,13 @@ mod tests {
     use crate::events::EventLog;
     use crate::FnOracle;
     use std::sync::atomic::AtomicUsize;
+
+    impl QueryRunner<'_> {
+        /// One check posed as a batch of its own.
+        fn accepts(&self, input: &[u8]) -> bool {
+            self.accepts_batch(&[spec(input)])[0]
+        }
+    }
 
     fn spec<'a>(bytes: &'a [u8]) -> CheckSpec<'a> {
         CheckSpec::new(&[bytes])
@@ -1061,5 +1098,144 @@ mod tests {
         s.write_into(&mut buf);
         assert_eq!(buf, b"<a>hi</a>");
         assert_eq!(buf.capacity(), cap, "no reallocation on reuse");
+    }
+
+    /// Query string for key id `k`: lengths 2..=27 cover whole 8-byte words
+    /// and every tail length of the hash.
+    fn prop_key(k: u8) -> Vec<u8> {
+        format!("q{k:02}").repeat(usize::from(k % 9) + 1).into_bytes()[1..].to_vec()
+    }
+
+    fn prop_oracle(q: &[u8]) -> bool {
+        q.iter().map(|&b| u32::from(b)).sum::<u32>() % 3 != 0
+    }
+
+    /// What the pre-`Wave` engine did, written straight-line: each planner
+    /// folds cache hits and its own repeats and posts the rest; the runner
+    /// then takes the posted checks in order through cache → dedup →
+    /// budget → oracle. Returns (verdict per planned check, total, unique,
+    /// cached, posed).
+    fn prop_model(
+        pre: &[(u8, bool)],
+        planners: &[Vec<u8>],
+        budget: usize,
+    ) -> (Vec<bool>, usize, usize, usize, usize) {
+        let mut cache: HashMap<Vec<u8>, bool> = HashMap::new();
+        for &(k, v) in pre {
+            cache.entry(prop_key(k)).or_insert(v);
+        }
+        let mut posted: Vec<Vec<u8>> = Vec::new();
+        let mut answers: Vec<Result<bool, Vec<u8>>> = Vec::new();
+        for planner in planners {
+            let mut mine: Vec<Vec<u8>> = Vec::new();
+            for &k in planner {
+                let q = prop_key(k);
+                if let Some(&v) = cache.get(&q) {
+                    answers.push(Ok(v));
+                    continue;
+                }
+                if !mine.contains(&q) {
+                    mine.push(q.clone());
+                    posted.push(q.clone());
+                }
+                answers.push(Err(q));
+            }
+        }
+        let (mut cached, mut posed, mut used) = (0, 0, 0);
+        let mut answered: HashMap<Vec<u8>, bool> = HashMap::new();
+        for q in &posted {
+            if cache.contains_key(q) {
+                cached += 1;
+            } else if !answered.contains_key(q) && used < budget {
+                used += 1;
+                posed += 1;
+                answered.insert(q.clone(), prop_oracle(q));
+            }
+        }
+        cache.extend(answered.clone());
+        let verdicts = answers
+            .into_iter()
+            .map(|a| a.unwrap_or_else(|q| answered.get(&q).copied().unwrap_or(false)))
+            .collect();
+        (verdicts, posted.len(), cache.len(), cached, posed)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn wave_matches_the_straight_line_model(
+            pre in proptest::collection::vec((0u8..16, proptest::prelude::any::<bool>()), 0..6),
+            planners in proptest::collection::vec(proptest::collection::vec(0u8..16, 0..24), 1..4),
+            budget in 0usize..12,
+            four_workers in proptest::prelude::any::<bool>(),
+        ) {
+            let oracle = FnOracle::new(prop_oracle);
+            let cache = QueryCache::new();
+            for &(k, v) in &pre {
+                cache.insert(prop_key(k), v);
+            }
+            let log = EventLog::new();
+            let r = QueryRunner::new(
+                &oracle,
+                &cache,
+                RunnerOptions {
+                    max_queries: Some(budget),
+                    workers: if four_workers { 4 } else { 1 },
+                    observer: Some(&log),
+                    ..RunnerOptions::default()
+                },
+            );
+            let keys: Vec<Vec<Vec<u8>>> =
+                planners.iter().map(|p| p.iter().map(|&k| prop_key(k)).collect()).collect();
+            let mut wave = Wave::default();
+            let mut resolved = Vec::new();
+            for planner in &keys {
+                wave.next_planner();
+                for q in planner {
+                    let res = wave.resolve(&spec(q), &cache);
+                    if let Resolved::Slot { repeat: false, .. } = res {
+                        wave.count(res);
+                    }
+                    resolved.push(res);
+                }
+            }
+            r.pose(&mut wave);
+            let verdicts: Vec<bool> = resolved
+                .iter()
+                .map(|&res| match res {
+                    Resolved::Cached(v) => v,
+                    Resolved::Slot { slot, .. } => wave.verdict(slot),
+                })
+                .collect();
+            let (want, total, unique, cached, posed) = prop_model(&pre, &planners, budget);
+            proptest::prop_assert_eq!(verdicts, want);
+            proptest::prop_assert_eq!(r.total_queries(), total);
+            proptest::prop_assert_eq!(r.unique_queries(), unique);
+            proptest::prop_assert_eq!(
+                log.events()
+                    .into_iter()
+                    .filter(|e| matches!(e, SynthEvent::QueryBatch { .. }))
+                    .collect::<Vec<_>>(),
+                vec![SynthEvent::QueryBatch { checks: total, cached, posed }]
+            );
+
+            // `accepts_batch` counts every check it is handed: the model
+            // with each check as its own planner (no folds of repeats),
+            // plus the cache hits as cached checks.
+            let flat: Vec<Vec<u8>> = keys.concat();
+            let cache2 = QueryCache::new();
+            for &(k, v) in &pre {
+                cache2.insert(prop_key(k), v);
+            }
+            let r2 = runner(&oracle, &cache2, Some(budget), None, if four_workers { 4 } else { 1 });
+            let specs: Vec<CheckSpec<'_>> = flat.iter().map(|q| spec(q)).collect();
+            let got = r2.accepts_batch(&specs);
+            let singles: Vec<Vec<u8>> = planners.concat().into_iter().map(|k| vec![k]).collect();
+            let (want2, ..) = prop_model(&pre, &singles, budget);
+            proptest::prop_assert_eq!(got, want2);
+            proptest::prop_assert_eq!(r2.total_queries(), flat.len());
+            proptest::prop_assert_eq!(r2.unique_queries(), cache2.len());
+        }
     }
 }

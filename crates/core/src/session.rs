@@ -35,7 +35,9 @@
 //! ```
 
 use crate::cache::QueryCache;
-use crate::chargen::{apply_char_probes, apply_staged_classes, plan_char_probes, StagedChargen};
+use crate::chargen::{
+    apply_char_probes, apply_staged_classes, plan_char_probes, ChargenOutcome, StagedChargen,
+};
 use crate::events::{CancelToken, SynthEvent, SynthPhase, SynthesisObserver};
 use crate::memo::ByteClassMemo;
 use crate::persist::{
@@ -45,7 +47,7 @@ use crate::persist::{
 };
 use crate::phase1::Phase1;
 use crate::phase2::{apply_merge_verdicts, plan_merge_checks, StagedMerge};
-use crate::runner::{BackingStore, CheckSpec, QueryRunner, RunnerOptions};
+use crate::runner::{BackingStore, QueryRunner, RunnerOptions, Wave};
 use crate::synth::{GladeConfig, Synthesis, SynthesisError, SynthesisStats};
 use crate::tree::{trees_to_grammar, Node, UnionFind};
 use crate::Oracle;
@@ -547,25 +549,29 @@ impl<'o> Session<'o> {
         let do_chargen =
             self.config.character_generalization && self.chargen_done < self.trees.len();
         let t1 = Instant::now();
-        let mut merges = if !self.config.memoize_byte_classes {
+        if do_chargen {
+            emit(SynthEvent::PhaseStarted { phase: SynthPhase::CharGeneralization });
+        } else if self.config.phase2 {
+            // Without chargen work the batches are phase two's alone and
+            // run inside the phase-two window; otherwise phase two's checks
+            // ride along in the batches posed during chargen and its own
+            // window only folds the (already computed) verdicts.
+            emit(SynthEvent::PhaseStarted { phase: SynthPhase::Phase2 });
+        }
+        // Shared batch wall time, and the part attributed to chargen pro
+        // rata by check count (phase two's O(stars²) merge checks dominate
+        // real batches and must not be billed to chargen).
+        let mut batch_total = Duration::ZERO;
+        let mut chargen_batch_share = Duration::ZERO;
+        let (cg_outcome, mg_outcome) = if !self.config.memoize_byte_classes {
             let mut checks = Vec::new();
-            let chargen_plan = if do_chargen {
-                emit(SynthEvent::PhaseStarted { phase: SynthPhase::CharGeneralization });
-                Some(plan_char_probes(
+            let chargen_plan = do_chargen.then(|| {
+                plan_char_probes(
                     &self.trees[self.chargen_done..],
                     &self.config.char_test_bytes,
                     &mut checks,
-                ))
-            } else {
-                None
-            };
-            // When chargen has no work the batch is phase two's alone and
-            // runs inside the phase-two window; otherwise phase two's
-            // checks ride along in the batch posed during chargen and its
-            // own window only folds the (already computed) verdicts.
-            if self.config.phase2 && chargen_plan.is_none() {
-                emit(SynthEvent::PhaseStarted { phase: SynthPhase::Phase2 });
-            }
+                )
+            });
             let merge_plan = self
                 .config
                 .phase2
@@ -576,58 +582,22 @@ impl<'o> Session<'o> {
             let batch_start = Instant::now();
             let verdicts =
                 if checks.is_empty() { Vec::new() } else { runner.accepts_batch(&checks) };
-            let batch_time = batch_start.elapsed();
-            let total_checks = checks.len();
-            drop(checks); // releases the immutable borrow of the trees
-
-            // The batch is shared, its wall time is not one phase's:
-            // attribute it pro rata by check count so chargen_time /
-            // phase2_time keep meaning "time spent on this phase's oracle
-            // work" (phase two's O(stars²) merge checks dominate real
-            // batches and must not be billed to chargen).
+            batch_total = batch_start.elapsed();
             let merge_offset = chargen_plan.as_ref().map_or(0, |p| p.checks_len);
-            let chargen_batch_share = if total_checks == 0 {
-                Duration::ZERO
-            } else {
-                batch_time.mul_f64(merge_offset as f64 / total_checks as f64)
-            };
-            if let Some(plan) = &chargen_plan {
-                self.chars_generalized += apply_char_probes(
+            if !checks.is_empty() {
+                chargen_batch_share =
+                    batch_total.mul_f64(merge_offset as f64 / checks.len() as f64);
+            }
+            drop(checks); // releases the immutable borrow of the trees
+            let cg = chargen_plan.map(|plan| ChargenOutcome {
+                accepted: apply_char_probes(
                     &mut self.trees[self.chargen_done..],
-                    plan,
+                    &plan,
                     &verdicts[..plan.checks_len],
-                );
-                self.chargen_done = self.trees.len();
-                stats.chargen_time = t1.elapsed().saturating_sub(batch_time) + chargen_batch_share;
-                emit(SynthEvent::PhaseFinished {
-                    phase: SynthPhase::CharGeneralization,
-                    elapsed: stats.chargen_time,
-                    unique_queries: runner.unique_queries(),
-                });
-            }
-
-            let t2 = Instant::now();
-            if let Some(plan) = &merge_plan {
-                if chargen_plan.is_some() {
-                    emit(SynthEvent::PhaseStarted { phase: SynthPhase::Phase2 });
-                }
-                let (uf, mstats) = apply_merge_verdicts(plan, &verdicts[merge_offset..], observer);
-                stats.merge_pairs_tried = mstats.pairs_tried;
-                stats.merges_accepted = mstats.merges_accepted;
-                stats.phase2_time = if chargen_plan.is_some() {
-                    t2.elapsed() + batch_time.saturating_sub(chargen_batch_share)
-                } else {
-                    t1.elapsed()
-                };
-                emit(SynthEvent::PhaseFinished {
-                    phase: SynthPhase::Phase2,
-                    elapsed: stats.phase2_time,
-                    unique_queries: runner.unique_queries(),
-                });
-                uf
-            } else {
-                UnionFind::new(self.next_star_id)
-            }
+                ),
+                ..ChargenOutcome::default()
+            });
+            (cg, merge_plan.map(|plan| apply_merge_verdicts(&plan, &verdicts[merge_offset..])))
         } else {
             // Staged path: both stages advance one context / one check per
             // probe per wave, resolving as much as possible against the
@@ -635,111 +605,99 @@ impl<'o> Session<'o> {
             // aggregated batch; the loop ends when neither stage has
             // anything left to pose (chargen needs at most max-contexts
             // waves, merge at most two, and they overlap).
-            let mut staged_cg = if do_chargen {
-                emit(SynthEvent::PhaseStarted { phase: SynthPhase::CharGeneralization });
+            let mut staged_cg = do_chargen.then(|| {
                 let memo = self.memo.lock().expect("memo mutex poisoned");
-                Some(StagedChargen::new(
+                StagedChargen::new(
                     &self.trees[self.chargen_done..],
                     &self.config.char_test_bytes,
                     &memo,
-                ))
-            } else {
-                None
-            };
-            if self.config.phase2 && staged_cg.is_none() {
-                emit(SynthEvent::PhaseStarted { phase: SynthPhase::Phase2 });
-            }
+                )
+            });
             let mut staged_mg =
                 self.config.phase2.then(|| StagedMerge::new(&self.trees, self.next_star_id));
-
-            let mut batch_total = Duration::ZERO;
-            let mut chargen_batch_share = Duration::ZERO;
-            let mut wave_checks: Vec<CheckSpec<'_>> = Vec::new();
+            let mut wave = Wave::default();
             loop {
-                wave_checks.clear();
-                let cg_n =
-                    staged_cg.as_mut().map_or(0, |s| s.plan_wave(&mut wave_checks, &self.cache));
-                let mg_n =
-                    staged_mg.as_mut().map_or(0, |s| s.plan_wave(&mut wave_checks, &self.cache));
+                wave.clear();
+                let cg_n = staged_cg.as_mut().map_or(0, |s| s.plan_wave(&mut wave, &self.cache));
+                let mg_n = staged_mg.as_mut().map_or(0, |s| s.plan_wave(&mut wave, &self.cache));
                 if cg_n + mg_n == 0 {
                     break;
                 }
                 let wave_start = Instant::now();
-                let verdicts = runner.accepts_batch(&wave_checks);
+                runner.pose(&mut wave);
                 let wave_time = wave_start.elapsed();
                 batch_total += wave_time;
-                // Attribute shared-wave wall time pro rata by check count,
-                // as the one-shot path does for its single batch.
                 chargen_batch_share += wave_time.mul_f64(cg_n as f64 / (cg_n + mg_n) as f64);
                 if let Some(s) = staged_cg.as_mut() {
-                    s.fold_wave(&verdicts[..cg_n]);
+                    s.fold_wave(&wave);
                 }
                 if let Some(s) = staged_mg.as_mut() {
-                    s.fold_wave(&verdicts[cg_n..]);
+                    s.fold_wave(&wave);
                 }
             }
-            drop(wave_checks); // releases the immutable borrow of the trees
-            let cg_outcome = staged_cg.map(StagedChargen::finish);
-            let mg_outcome = staged_mg.map(StagedMerge::finish);
-
-            let mut run_elided = 0usize;
-            let mut run_memo_hits = 0usize;
-            if let Some(outcome) = cg_outcome {
+            let cg = staged_cg.map(StagedChargen::finish);
+            let mg = staged_mg.map(StagedMerge::finish);
+            if let Some(outcome) = &cg {
                 apply_staged_classes(&mut self.trees[self.chargen_done..], &outcome.classes);
-                self.chargen_done = self.trees.len();
-                self.chars_generalized += outcome.accepted;
-                run_elided += outcome.probes_elided;
-                run_memo_hits += outcome.memo_hits;
-                // A degraded run's classes embed fail-closed verdicts —
-                // they are safe for *this* run's grammar but are not facts
-                // about the language, so they must never be memoized.
-                if !runner.exhausted() {
-                    let mut memo = self.memo.lock().expect("memo mutex poisoned");
-                    for (key, classes) in outcome.memo_inserts {
-                        memo.insert(key, classes);
-                    }
-                }
-                stats.chargen_time = t1.elapsed().saturating_sub(batch_total) + chargen_batch_share;
-                emit(SynthEvent::PhaseFinished {
-                    phase: SynthPhase::CharGeneralization,
-                    elapsed: stats.chargen_time,
-                    unique_queries: runner.unique_queries(),
-                });
             }
-
-            let t2 = Instant::now();
-            let merges = if let Some(outcome) = mg_outcome {
-                if do_chargen {
-                    emit(SynthEvent::PhaseStarted { phase: SynthPhase::Phase2 });
-                }
-                for &(left, right) in &outcome.accepted {
-                    emit(SynthEvent::MergeAccepted { left_star: left, right_star: right });
-                }
-                stats.merge_pairs_tried = outcome.stats.pairs_tried;
-                stats.merges_accepted = outcome.stats.merges_accepted;
-                run_elided += outcome.probes_elided;
-                stats.phase2_time = if do_chargen {
-                    t2.elapsed() + batch_total.saturating_sub(chargen_batch_share)
-                } else {
-                    t1.elapsed()
-                };
-                emit(SynthEvent::PhaseFinished {
-                    phase: SynthPhase::Phase2,
-                    elapsed: stats.phase2_time,
-                    unique_queries: runner.unique_queries(),
-                });
-                outcome.uf
-            } else {
-                UnionFind::new(self.next_star_id)
-            };
-
-            self.probes_elided += run_elided;
-            self.memo_hits += run_memo_hits;
-            if run_elided + run_memo_hits > 0 {
-                emit(SynthEvent::ProbesElided { elided: run_elided, memo_hits: run_memo_hits });
-            }
-            merges
+            (cg, mg)
         };
+
+        let mut run_elided = 0usize;
+        let mut run_memo_hits = 0usize;
+        if let Some(outcome) = cg_outcome {
+            self.chargen_done = self.trees.len();
+            self.chars_generalized += outcome.accepted;
+            run_elided += outcome.probes_elided;
+            run_memo_hits += outcome.memo_hits;
+            // A degraded run's classes embed fail-closed verdicts — they
+            // are safe for *this* run's grammar but are not facts about the
+            // language, so they must never be memoized.
+            if !runner.exhausted() {
+                let mut memo = self.memo.lock().expect("memo mutex poisoned");
+                for (key, classes) in outcome.memo_inserts {
+                    memo.insert(key, classes);
+                }
+            }
+            stats.chargen_time = t1.elapsed().saturating_sub(batch_total) + chargen_batch_share;
+            emit(SynthEvent::PhaseFinished {
+                phase: SynthPhase::CharGeneralization,
+                elapsed: stats.chargen_time,
+                unique_queries: runner.unique_queries(),
+            });
+        }
+
+        let t2 = Instant::now();
+        let mut merges = if let Some(outcome) = mg_outcome {
+            if do_chargen {
+                emit(SynthEvent::PhaseStarted { phase: SynthPhase::Phase2 });
+            }
+            for &(left, right) in &outcome.accepted {
+                emit(SynthEvent::MergeAccepted { left_star: left, right_star: right });
+            }
+            stats.merge_pairs_tried = outcome.stats.pairs_tried;
+            stats.merges_accepted = outcome.stats.merges_accepted;
+            run_elided += outcome.probes_elided;
+            stats.phase2_time = if do_chargen {
+                t2.elapsed() + batch_total.saturating_sub(chargen_batch_share)
+            } else {
+                t1.elapsed()
+            };
+            emit(SynthEvent::PhaseFinished {
+                phase: SynthPhase::Phase2,
+                elapsed: stats.phase2_time,
+                unique_queries: runner.unique_queries(),
+            });
+            outcome.uf
+        } else {
+            UnionFind::new(self.next_star_id)
+        };
+
+        self.probes_elided += run_elided;
+        self.memo_hits += run_memo_hits;
+        if run_elided + run_memo_hits > 0 {
+            emit(SynthEvent::ProbesElided { elided: run_elided, memo_hits: run_memo_hits });
+        }
 
         let grammar = trees_to_grammar(&self.trees, &mut merges);
         let regex = Regex::alt(self.trees.iter().map(Node::to_regex).collect());

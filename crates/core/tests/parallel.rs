@@ -1152,3 +1152,36 @@ fn per_language_query_pins_with_memo_on_and_off() {
         );
     }
 }
+
+#[test]
+fn capped_cache_evicts_reproducibly() {
+    // Eviction order follows the cache's hash-map iteration order, which
+    // is fixed (the key hash is unkeyed): two identical capped sessions
+    // evict the same entries, so they re-pay the same queries. The cap
+    // never changes the grammar or the distinct-query count.
+    let seeds = [b"<a>hi</a>".to_vec(), b"<a><a>x</a></a>".to_vec()];
+    let oracle = FnOracle::new(xml_like);
+    let capped_run = || {
+        let mut session = GladeBuilder::new()
+            .worker_threads(2)
+            .memoize_byte_classes(matrix_memo())
+            .max_cache_entries(64)
+            .session(&oracle);
+        let result = session.add_seeds(&seeds).expect("valid seeds");
+        (grammar_to_text(&result.grammar), result.stats, session.cache_evictions())
+    };
+    let (grammar_a, stats_a, evictions_a) = capped_run();
+    let (grammar_b, stats_b, evictions_b) = capped_run();
+    assert!(evictions_a > 0, "a cap of 64 never evicted");
+    assert_eq!(evictions_a, evictions_b, "eviction count differs between identical runs");
+    assert_eq!(stats_a.total_queries, stats_b.total_queries);
+    assert_eq!(grammar_a, grammar_b);
+
+    let uncapped = GladeBuilder::new()
+        .worker_threads(2)
+        .memoize_byte_classes(matrix_memo())
+        .synthesize(&seeds, &oracle)
+        .expect("valid seeds");
+    assert_eq!(grammar_a, grammar_to_text(&uncapped.grammar), "eviction changed grammar bytes");
+    assert_eq!(stats_a.unique_queries, uncapped.stats.unique_queries);
+}
